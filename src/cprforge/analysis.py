@@ -251,17 +251,16 @@ def _match_name(group: PermGroup, orbit_sizes, induced_orders,
     return None
 
 
-def fingerprint(g: LabeledGraph) -> Fingerprint:
+def fingerprint(group: PermGroup) -> Fingerprint:
     """Orbit sizes, transitivity, per-orbit primitivity, order equations.
 
+    Takes the group of a graph's sggi, e.g. ``Sggi.from_graph(g).group()``.
     A named match asserts only that the defining order equation and the
     block/orbit structure hold, never full isomorphism.
     """
-    sggi = Sggi.from_graph(g)
-    group = sggi.group()
     orbit_sizes = tuple(len(o) for o in group.orbits())
     transitive = group.is_transitive
-    primitive = group.is_primitive() if transitive and g.n >= 1 else None
+    primitive = group.is_primitive() if transitive and group.degree >= 1 else None
     induced = tuple(group.induced_on(o).order for o in group.orbits())
     factorization_ok = group.order == math.prod(induced)
     match = _match_name(group, orbit_sizes, induced, factorization_ok)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,6 +32,7 @@ from .perm_core import (
     Permutation,
     compose,
     element_order,
+    intersection_tuples,
 )
 from .prg import LabeledGraph
 
@@ -145,6 +145,7 @@ class Sggi:
         self.degree = degree
         self.source = source
         self._sections = {}
+        # guards the section cache for callers sharing one Sggi across threads
         self._lock = threading.Lock()
 
     # -- construction -------------------------------------------------------
@@ -154,15 +155,21 @@ class Sggi:
                    allow_identity_labels: bool = False) -> "Sggi":
         """Derive the sggi of a graph; every window label needs >= 1 edge.
 
-        The default window spans the labels present in the graph.  A wider
-        explicit window raises ``IdentityGenerator`` unless identity padding
-        is explicitly opted into.
+        The default window spans the labels present in the graph.  A window
+        label without edges raises ``IdentityGenerator``, before any
+        generator is built, unless identity padding is explicitly opted into.
         """
         if window is None:
             w = g.window()
             if w is None:
                 raise IdentityGenerator("graph has no edges, no window to derive")
             window = LabelWindow(*w)
+        if not allow_identity_labels:
+            present = set(g.labels)
+            for label in window.labels():
+                if label not in present:
+                    raise IdentityGenerator(
+                        f"label {label} has no edges (identity is not an involution)")
         involutions = {label: g.generator_of_label(label) for label in window.labels()}
         return cls(window, involutions, g.n, source=g,
                    _allow_identity=allow_identity_labels)
@@ -248,18 +255,18 @@ class Sggi:
             actual = _sym_product_meet_order(A, B)
             if actual == C.order:
                 return IpCertificate("pass")
-        small, big = (A, B) if A.order <= B.order else (B, A)
-        if small.order > cap:
+        try:
+            common = intersection_tuples(A, B, cap)
+        except IntersectionTooLarge as exc:
             raise IntersectionTooLarge(
-                f"sections for {list(left)} and {list(right)} both exceed cap {cap}",
-                left=A.order, right=B.order)
+                f"sections for {list(left)} and {list(right)}: {exc}",
+                left=exc.left, right=exc.right) from None
         witness = None
         count = 0
-        for img in small.element_tuples():
-            if big.contains_tuple(img):
-                count += 1
-                if witness is None and not C.contains_tuple(img):
-                    witness = Permutation._from_tuple(img)
+        for img in common:
+            count += 1
+            if witness is None and not C.contains_tuple(img):
+                witness = Permutation._from_tuple(img)
         if witness is None:
             return IpCertificate("pass")
         return IpCertificate("fail", left=tuple(left), right=tuple(right),
@@ -321,43 +328,24 @@ class Sggi:
         lo = self.window.lo
         return tuple(lo + k for k in range(self.rank) if mask >> k & 1)
 
-    def check_ip_full(self, cap: int = DEFAULT_INTERSECTION_CAP,
-                      rank_bound: int = DEFAULT_FULL_RANK_BOUND,
-                      jobs: int = 1, any_failure: bool = False) -> IpCertificate:
+    def check_ip_full(self, cap: int = DEFAULT_INTERSECTION_CAP) -> IpCertificate:
         """Check every subset pair with neither side containing the other.
 
-        With ``jobs > 1`` pairs are evaluated in windows across a thread
-        pool; unless ``any_failure`` is set the reported failure is still
-        the canonically first one.
+        Pairs are checked serially in canonical order, so the reported
+        failure is the canonically first one.  Ranks above
+        ``DEFAULT_FULL_RANK_BOUND`` are refused.
         """
-        if self.rank > rank_bound:
+        if self.rank > DEFAULT_FULL_RANK_BOUND:
             raise RankTooLarge(
-                f"rank {self.rank} exceeds exhaustive bound {rank_bound}")
-
-        def run(pair):
-            a, b = pair
-            return self._node_check(self._mask_labels(a), self._mask_labels(b), cap)
-
-        pairs = list(self._subset_pairs())
-        if jobs <= 1:
-            for pair in pairs:
-                cert = run(pair)
-                if not cert.ok:
-                    return cert
-            return IpCertificate("pass")
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            window_size = max(jobs * 16, 64)
-            for start in range(0, len(pairs), window_size):
-                window = pairs[start:start + window_size]
-                for cert in pool.map(run, window):
-                    if not cert.ok:
-                        return cert
+                f"rank {self.rank} exceeds exhaustive bound {DEFAULT_FULL_RANK_BOUND}")
+        for a, b in self._subset_pairs():
+            cert = self._node_check(self._mask_labels(a), self._mask_labels(b), cap)
+            if not cert.ok:
+                return cert
         return IpCertificate("pass")
 
     def is_string_c_group(self, mode: str = "recursive",
-                          cap: int = DEFAULT_INTERSECTION_CAP,
-                          rank_bound: int = DEFAULT_FULL_RANK_BOUND,
-                          jobs: int = 1, any_failure: bool = False) -> CprVerdict:
+                          cap: int = DEFAULT_INTERSECTION_CAP) -> CprVerdict:
         """String property plus intersection property in the requested mode."""
         sp = self.check_string_property()
         if not sp.ok:
@@ -365,8 +353,7 @@ class Sggi:
         if mode == "recursive":
             cert = self.check_ip_recursive(cap=cap)
         elif mode == "full":
-            cert = self.check_ip_full(cap=cap, rank_bound=rank_bound,
-                                      jobs=jobs, any_failure=any_failure)
+            cert = self.check_ip_full(cap=cap)
         else:
             raise ValueError(f"unknown mode {mode!r} (use 'recursive' or 'full')")
         return CprVerdict(sp, cert)

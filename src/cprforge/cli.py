@@ -19,7 +19,7 @@ from .errors import CprforgeError, PrgError
 from .paper_cases import CASES, run_cases
 from .perm_core import DEFAULT_INTERSECTION_CAP
 from .prg import LabeledGraph
-from .report import EXIT_ERROR, build_report
+from .report import EXIT_ERROR, EXIT_OK, build_report
 
 
 def _resolve_cap(args) -> int:
@@ -66,9 +66,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     g = _read_graph(args.path)
     descriptor = {"path": args.path}
-    report, code = build_report(
-        g, descriptor, mode=args.mode, cap=_resolve_cap(args),
-        jobs=args.jobs, any_failure=args.any_failure)
+    report, code = build_report(g, descriptor, mode=args.mode, cap=_resolve_cap(args))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -149,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"intersection enumeration cap "
                             f"(default {DEFAULT_INTERSECTION_CAP}; "
                             f"CPRFORGE_CAP overrides)")
-    check.add_argument("--jobs", type=int, default=1,
-                       help="parallel subset checks in full mode")
-    check.add_argument("--any-failure", action="store_true",
-                       help="with --jobs > 1, report any failure instead of "
-                            "the canonically first one")
     check.add_argument("--json", default=None, help="write the JSON report here")
     check.set_defaults(func=cmd_check)
 
@@ -176,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is taken
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except PrgError as exc:

@@ -166,38 +166,38 @@ def case_section3_nonexamples() -> CaseResult:
 
 def case_family_orders() -> CaseResult:
     case = _Case("family-orders")
-    jobs = []
+    instances = []
     for r in range(1, 7):
-        jobs.append((f"simplex({r})", cons.simplex(r), math.factorial(r + 1), True))
+        instances.append((f"simplex({r})", cons.simplex(r), math.factorial(r + 1), True))
     for r in (1, 2, 3, 4):
         for k in (2, 3):
-            jobs.append((f"multisimplex({r},{k})", cons.multisimplex(r, k),
-                         math.factorial(r + 1), True))
+            instances.append((f"multisimplex({r},{k})", cons.multisimplex(r, k),
+                              math.factorial(r + 1), True))
     for h, r in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
-        jobs.append((f"result1({h},{r})", cons.family_result1(h, r),
-                     math.factorial(h + 1) * math.factorial(r + 1), True))
+        instances.append((f"result1({h},{r})", cons.family_result1(h, r),
+                          math.factorial(h + 1) * math.factorial(r + 1), True))
     for r in (2, 3, 4, 5):
-        jobs.append((f"wreathsimp({r})", cons.family_wreathsimp(r),
-                     2 ** r * math.factorial(r), True))
+        instances.append((f"wreathsimp({r})", cons.family_wreathsimp(r),
+                          2 ** r * math.factorial(r), True))
     for r in (3, 4, 5):
-        jobs.append((f"lemme1({r})", cons.family_lemme1(r),
-                     math.factorial(r + 2) * math.factorial(r), True))
-    jobs.append(("lemme1(2)", cons.family_lemme1(2), 8, True))
+        instances.append((f"lemme1({r})", cons.family_lemme1(r),
+                          math.factorial(r + 2) * math.factorial(r), True))
+    instances.append(("lemme1(2)", cons.family_lemme1(2), 8, True))
     for r in (3, 4, 5, 6):
         for h in range(1, r - 1):
-            jobs.append((f"counterexample1({r},{h})", cons.family_counterexample1(r, h),
-                         math.factorial(r + h + 1), True))
+            instances.append((f"counterexample1({r},{h})", cons.family_counterexample1(r, h),
+                              math.factorial(r + h + 1), True))
     for r in (3, 4):
-        jobs.append((f"speccase({r})", cons.family_speccase(r),
-                     2 * math.factorial(r) ** 2, True))
+        instances.append((f"speccase({r})", cons.family_speccase(r),
+                          2 * math.factorial(r) ** 2, True))
     for i, r in ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)):
         expect = 2 * math.factorial(r) ** 2 if r == i + 1 else math.factorial(r + i + 1)
-        jobs.append((f"workswithsimplices({i},{r})",
-                     cons.family_workswithsimplices(i, r), expect, True))
+        instances.append((f"workswithsimplices({i},{r})",
+                          cons.family_workswithsimplices(i, r), expect, True))
     # full S_4 x C_2: no homomorphism S_4 -> C_2 matches the generator tags
-    jobs.append(("nonexample_simplex_union", cons.nonexample_simplex_union(),
-                 48, False))
-    for name, g, order, expect_cpr in jobs:
+    instances.append(("nonexample_simplex_union", cons.nonexample_simplex_union(),
+                      48, False))
+    for name, g, order, expect_cpr in instances:
         sggi = Sggi.from_graph(g)
         case.check(sggi.group().order == order,
                    f"{name}: order {sggi.group().order}, want {order}")
@@ -205,7 +205,7 @@ def case_family_orders() -> CaseResult:
         case.check(verdict.is_string_c_group == expect_cpr,
                    f"{name}: string C-group verdict {verdict.is_string_c_group}, "
                    f"want {expect_cpr}")
-    case.note(f"{len(jobs)} family instances verified")
+    case.note(f"{len(instances)} family instances verified")
     return case.result
 
 

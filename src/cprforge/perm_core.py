@@ -47,14 +47,6 @@ def _is_id(p: tuple) -> bool:
     return all(i == x for i, x in enumerate(p))
 
 
-def _min_moved(p: tuple):
-    """Smallest 0-based moved point, or None for the identity."""
-    for i, x in enumerate(p):
-        if i != x:
-            return i
-    return None
-
-
 class Permutation:
     """A bijection of {1..n} stored as an image sequence."""
 
@@ -439,19 +431,6 @@ class PermGroup:
         self._sym_product = self._order == math.prod(
             math.factorial(len(o)) for o in self._orbits)
 
-    @classmethod
-    def _from_chain(cls, chain: _Chain, generators: tuple) -> "PermGroup":
-        group = object.__new__(cls)
-        group.degree = chain.degree
-        group.generators = generators
-        group._chain = chain
-        group._order = chain.order()
-        group._orbits = group._compute_orbits()
-        group._orbit_id = group._compute_orbit_ids()
-        group._sym_product = group._order == math.prod(
-            math.factorial(len(o)) for o in group._orbits)
-        return group
-
     # -- structure ----------------------------------------------------------
 
     def _compute_orbits(self) -> tuple:
@@ -676,48 +655,32 @@ def group_from_generators(gens: Iterable[Permutation], degree: int | None = None
     return PermGroup(gens, degree=degree)
 
 
-def contains(group: PermGroup, p: Permutation) -> bool:
-    return group.contains(p)
+def intersection_tuples(G: PermGroup, H: PermGroup,
+                        cap: int = DEFAULT_INTERSECTION_CAP) -> Iterator[tuple]:
+    """The elements of G ^ H as raw tuples, in the smaller group's order.
 
-
-def orbits(group: PermGroup) -> tuple:
-    return group.orbits()
-
-
-def group_order(group: PermGroup) -> int:
-    return group.order
-
-
-def minimal_block_systems(group: PermGroup) -> list:
-    return group.minimal_block_systems()
-
-
-def is_primitive(group: PermGroup) -> bool:
-    return group.is_primitive()
-
-
-def induced_action(group: PermGroup, domain) -> PermGroup:
-    return group.induced_action(domain)
-
-
-def intersection(G: PermGroup, H: PermGroup,
-                 cap: int = DEFAULT_INTERSECTION_CAP) -> PermGroup:
-    """The subgroup {g : g in G and g in H}, with its own chain.
-
-    Enumerates the smaller group through its chain and filters by
-    membership in the other; refuses when even the smaller order
-    exceeds ``cap``.
+    Enumerates the smaller group (G on a tie) through its chain and filters
+    by membership in the other.  Refuses up front, before any element is
+    produced, when even the smaller order exceeds ``cap``.
     """
     if G.degree != H.degree:
         raise DegreeMismatch(f"degree {G.degree} vs {H.degree}")
     small, big = (G, H) if G.order <= H.order else (H, G)
     if small.order > cap:
         raise IntersectionTooLarge(
-            f"min(|G|,|H|) = {small.order} exceeds cap {cap}",
+            f"orders {G.order} and {H.order} both exceed cap {cap}",
             left=G.order, right=H.order)
+    return (img for img in small.element_tuples() if big.contains_tuple(img))
+
+
+def intersection(G: PermGroup, H: PermGroup,
+                 cap: int = DEFAULT_INTERSECTION_CAP) -> PermGroup:
+    """The subgroup {g : g in G and g in H}.
+
+    Its generators are the intersection elements that grew the chain when
+    inserted in enumeration order, so rebuilding from them gives that chain.
+    """
     chain = _Chain(G.degree)
-    new_gens = []
-    for img in small.element_tuples():
-        if big.contains_tuple(img) and chain.insert(img):
-            new_gens.append(Permutation._from_tuple(img))
-    return PermGroup._from_chain(chain, tuple(new_gens))
+    kept = [Permutation._from_tuple(img) for img in intersection_tuples(G, H, cap)
+            if chain.insert(img)]
+    return PermGroup(kept, degree=G.degree)

@@ -107,8 +107,7 @@ REPORT_SCHEMA = {
 
 
 def build_report(g: LabeledGraph, descriptor: dict, mode: str = "recursive",
-                 cap: int | None = None, jobs: int = 1,
-                 any_failure: bool = False) -> tuple:
+                 cap: int | None = None) -> tuple:
     """Run the full check pipeline on a graph; return (report dict, exit code).
 
     Raises the usual validation errors (IdentityGenerator,
@@ -124,12 +123,11 @@ def build_report(g: LabeledGraph, descriptor: dict, mode: str = "recursive",
     timings["group_ms"] = (time.perf_counter() - t) * 1000.0
 
     t = time.perf_counter()
-    verdict = sggi.is_string_c_group(mode=mode, cap=cap, jobs=jobs,
-                                     any_failure=any_failure)
+    verdict = sggi.is_string_c_group(mode=mode, cap=cap)
     timings["check_ms"] = (time.perf_counter() - t) * 1000.0
 
     t = time.perf_counter()
-    structure = fingerprint(g)
+    structure = fingerprint(group)
     timings["structure_ms"] = (time.perf_counter() - t) * 1000.0
 
     schlafli = list(sggi.schlafli_type()) if sggi.rank >= 2 else None

@@ -118,8 +118,12 @@ def test_transposition_criterion(graph_corpus):
 
 # -- fingerprints -------------------------------------------------------------------
 
+def group_of(g):
+    return Sggi.from_graph(g).group()
+
+
 def test_fingerprint_lemme1():
-    fp = fingerprint(cons.family_lemme1(3))
+    fp = fingerprint(group_of(cons.family_lemme1(3)))
     assert fp.orbit_sizes == (5, 3)
     assert fp.factorization_check
     assert fp.named_match.name == "SaxSb"
@@ -127,7 +131,7 @@ def test_fingerprint_lemme1():
 
 
 def test_fingerprint_speccase():
-    fp = fingerprint(cons.family_speccase(3))
+    fp = fingerprint(group_of(cons.family_speccase(3)))
     assert fp.group_order == 72
     assert fp.transitive and fp.primitive is False
     assert fp.named_match.name == "SrwrC2"
@@ -135,34 +139,34 @@ def test_fingerprint_speccase():
 
 
 def test_fingerprint_counterexample1():
-    fp = fingerprint(cons.family_counterexample1(3, 1))
+    fp = fingerprint(group_of(cons.family_counterexample1(3, 1)))
     assert fp.named_match.name == "S_n"
     assert fp.named_match.params == {"n": 5}
     assert fp.primitive is True
 
 
 def test_fingerprint_wreathsimp():
-    fp = fingerprint(cons.family_wreathsimp(3))
+    fp = fingerprint(group_of(cons.family_wreathsimp(3)))
     assert fp.named_match.name == "C2wrSr"
     assert fp.named_match.params == {"r": 3}
     assert fp.group_order == 48
 
 
 def test_fingerprint_multisimplex_diagonal():
-    fp = fingerprint(cons.multisimplex(2, 2))
+    fp = fingerprint(group_of(cons.multisimplex(2, 2)))
     assert fp.orbit_sizes == (3, 3)
     assert not fp.factorization_check   # diagonal action, not a product
     assert fp.named_match is None
 
 
 def test_fingerprint_result1():
-    fp = fingerprint(cons.family_result1(1, 3))
+    fp = fingerprint(group_of(cons.family_result1(1, 3)))
     assert fp.named_match.name == "SaxSb"
     assert fp.named_match.params == {"a": 2, "b": 4}
 
 
 def test_fingerprint_union_nonexample():
-    fp = fingerprint(cons.nonexample_simplex_union())
+    fp = fingerprint(group_of(cons.nonexample_simplex_union()))
     assert fp.orbit_sizes == (4, 2)
     assert fp.group_order == 48
     assert fp.factorization_check
@@ -185,7 +189,7 @@ CROSS_TABLE = [
 @pytest.mark.parametrize("g, match, expect_cpr", CROSS_TABLE,
                          ids=[str(i) for i in range(len(CROSS_TABLE))])
 def test_named_match_cross_table(g, match, expect_cpr):
-    fp = fingerprint(g)
+    fp = fingerprint(group_of(g))
     assert (fp.named_match.name, fp.named_match.params) == match
     verdict = Sggi.from_graph(g).is_string_c_group(mode="recursive")
     assert verdict.is_string_c_group == expect_cpr

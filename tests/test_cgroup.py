@@ -48,6 +48,22 @@ def test_from_graph_rejects_edgeless_window_label():
     assert s.generator(3).is_identity()
 
 
+def test_from_graph_rejects_label_gap_before_building(monkeypatch):
+    # a wide gap must not cost one generator per missing label
+    g = LabeledGraph(3, [(0, 1, 2), (1000, 2, 3)])
+    calls = []
+    real = LabeledGraph.generator_of_label
+    monkeypatch.setattr(LabeledGraph, "generator_of_label",
+                        lambda self, label: calls.append(label) or real(self, label))
+    with pytest.raises(IdentityGenerator, match="label 1 has no edges"):
+        Sggi.from_graph(g)
+    assert calls == []
+    # explicit opt-in still pads with identities
+    padded = Sggi.from_graph(LabeledGraph(3, [(0, 1, 2), (3, 2, 3)]),
+                             allow_identity_labels=True)
+    assert padded.generator(1).is_identity() and len(calls) == 4
+
+
 def test_involution_validation():
     with pytest.raises(ValueError):
         make_sggi(3, {0: "(1,2,3)"})
@@ -183,9 +199,10 @@ def test_full_sevenvertex_fails_with_orders():
 
 
 def test_full_rank_bound():
-    g = cons.simplex(6)
+    # rank 11 is one above the exhaustive bound
+    g = cons.simplex(11)
     with pytest.raises(RankTooLarge):
-        sggi_of(g).check_ip_full(rank_bound=5)
+        sggi_of(g).check_ip_full()
 
 
 def test_cap_propagates_through_recursion():
@@ -193,13 +210,6 @@ def test_cap_propagates_through_recursion():
     # cap) is actually exercised
     with pytest.raises(IntersectionTooLarge):
         sggi_of(cons.family_wreathsimp(4)).check_ip_recursive(cap=2)
-
-
-def test_full_jobs_matches_serial():
-    s = sggi_of(cons.family_graph_x(5, 1))
-    serial = s.check_ip_full()
-    threaded = sggi_of(cons.family_graph_x(5, 1)).check_ip_full(jobs=4)
-    assert serial.to_json() == threaded.to_json()
 
 
 # -- combined verdict ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from cprforge import constructions as cons
+from cprforge.cgroup import Sggi
 from cprforge.cli import main
 from cprforge.prg import LabeledGraph
 from cprforge.report import REPORT_SCHEMA, build_report
@@ -104,16 +105,32 @@ def test_check_reports_are_deterministic(tmp_path):
     assert ra == rb
 
 
-def test_check_full_mode_and_jobs(tmp_path):
-    path = write(tmp_path, "gx.prg", cons.family_graph_x(5, 1))
+def test_check_full_mode(tmp_path):
+    g = cons.family_graph_x(5, 1)
+    path = write(tmp_path, "gx.prg", g)
     a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
     assert main(["check", path, "--mode", "full", "--json", str(a)]) == 2
-    assert main(["check", path, "--mode", "full", "--jobs", "3",
-                 "--json", str(b)]) == 2
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    ra.pop("timings"), rb.pop("timings")
-    assert ra == rb
+    # the canonically first failing subset pair
+    expected = Sggi.from_graph(g).check_ip_full().to_json()
+    assert json.loads(a.read_text())["certificate"] == expected
+
+
+def test_check_cap_error_names_the_node(tmp_path, capsys):
+    path = write(tmp_path, "w4.prg", cons.family_wreathsimp(4))
+    assert main(["check", path, "--cap", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "sections for [0, 1] and [1, 2]" in err
+    assert "orders 8 and 6" in err and "cap 2" in err
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "s3.prg", cons.simplex(3))
+    assert main(["check", path, "--mode", "bogus"]) == 1
+    assert main(["check", path, "--jobs", "2"]) == 1      # removed flag
+    assert main(["check", path, "--any-failure"]) == 1   # removed flag
+    assert main(["check", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--jobs" not in out and "--any-failure" not in out
 
 
 # -- glue -----------------------------------------------------------------------
