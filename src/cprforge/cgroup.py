@@ -278,8 +278,9 @@ class Sggi:
 
         Interval [i..j] passes iff [i..j-1] and [i+1..j] pass and
         <rho_[i..j-1]> ^ <rho_[i+1..j]> = <rho_[i+1..j-1]>.  Rank <= 1 always
-        passes; rank 2 passes iff the two involutions differ.  Memoized on
-        intervals; the innermost failing interval is reported.
+        passes; every longer interval, rank 2 included, goes through the node
+        check.  Memoized on intervals; the innermost failing interval is
+        reported.
         """
         memo = {}
 
@@ -290,14 +291,6 @@ class Sggi:
             rank = j - i + 1
             if rank <= 1:
                 result = IpCertificate("pass")
-            elif rank == 2:
-                if self.involutions[i] == self.involutions[j]:
-                    result = IpCertificate(
-                        "fail", left=(i,), right=(j,), meet=(),
-                        expected_order=1, actual_order=2,
-                        witness=self.involutions[i])
-                else:
-                    result = IpCertificate("pass")
             else:
                 result = check(i, j - 1)
                 if result.ok:

@@ -3,7 +3,7 @@
 Exit codes of ``check``: 0 string C-group, 2 sggi but the intersection
 property fails, 3 string property fails, 1 I/O or validation error.
 ``CPRFORGE_CAP`` overrides the default intersection cap; an explicit
-``--cap`` flag wins over the environment.
+``--cap`` flag wins over the environment.  A cap below 1 is an error.
 """
 
 from __future__ import annotations
@@ -23,15 +23,19 @@ from .report import EXIT_ERROR, EXIT_OK, build_report
 
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("CPRFORGE_CAP")
-    if env:
+    cap, source = args.cap, "--cap"
+    if cap is None:
+        env = os.environ.get("CPRFORGE_CAP")
+        if not env:
+            return DEFAULT_INTERSECTION_CAP
+        source = "CPRFORGE_CAP"
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise CprforgeError(f"CPRFORGE_CAP={env!r} is not an integer")
-    return DEFAULT_INTERSECTION_CAP
+    if cap < 1:
+        raise CprforgeError(f"{source}={cap}: the intersection cap must be at least 1")
+    return cap
 
 
 def _write_graph(g: LabeledGraph, out_path: str | None) -> None:
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("path")
     check.add_argument("--mode", choices=("recursive", "full"), default="recursive")
     check.add_argument("--cap", type=int, default=None,
-                       help=f"intersection enumeration cap "
+                       help=f"intersection enumeration cap, at least 1 "
                             f"(default {DEFAULT_INTERSECTION_CAP}; "
                             f"CPRFORGE_CAP overrides)")
     check.add_argument("--json", default=None, help="write the JSON report here")

@@ -370,7 +370,8 @@ def case_splits_primitivity() -> CaseResult:
 # case 9: engine self-checks
 # ---------------------------------------------------------------------------
 
-def _closure(gens: list, degree: int) -> set:
+def closure_set(gens: list, degree: int) -> set:
+    """All products of the generators by breadth-first multiplication, no chain."""
     ident = Permutation.identity(degree)
     seen = {ident}
     frontier = [ident]
@@ -398,7 +399,7 @@ def case_engine_selfchecks() -> CaseResult:
             rng.shuffle(img)
             gens.append(Permutation(img))
         group = PermGroup(gens)
-        closure = _closure(gens, degree)
+        closure = closure_set(gens, degree)
         case.check(group.order == len(closure),
                    f"set {trial}: chain order {group.order} != closure {len(closure)}")
         sample = closure if len(closure) <= 10_000 else list(closure)[:2000]

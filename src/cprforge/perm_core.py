@@ -206,7 +206,7 @@ class _Layer:
         self.base = base
         self.transversal = {}       # point -> representative tuple (base -> point)
         self.inv_transversal = {}   # point -> inverse of that representative
-        self.stamp = (-1, -1)       # (gen count, orbit size) at last verification
+        self.stamp = -1             # level generator count at last verification
 
 
 class _Chain:
@@ -295,36 +295,30 @@ class _Chain:
         """Restore the strong-generator property chain-wide.
 
         Walks stale levels deepest-first (a level is stale when its
-        generating-set size or orbit size moved since its last verified
-        stamp) until a full scan finds nothing stale.
+        generating set grew since its last verified stamp) until a full
+        scan finds nothing stale.  A level that is not stale keeps its
+        transversal, which changes only when the level's generators do.
         """
         while True:
-            stale = None
             for p in sorted(self.layers, reverse=True):
-                layer = self.layers[p]
-                gens = self.level_gens(p)
-                self._rebuild_transversal(p)
-                if layer.stamp == (len(gens), len(layer.transversal)):
-                    continue
-                stale = p
-                break
-            if stale is None:
+                if self.layers[p].stamp != len(self.level_gens(p)):
+                    self._verify_level(p)
+                    break
+            else:
                 return
-            self._verify_level(stale)
 
     def _verify_level(self, p: int) -> None:
-        """Sift every Schreier generator of level p; store residues deeper."""
+        """Sift every Schreier generator of level p; store residues deeper.
+
+        Starts over from a rebuilt transversal whenever a residue grows the
+        chain, and stamps the level once a whole pass stores nothing.
+        """
         layer = self.layers[p]
         while True:
             self._rebuild_transversal(p)
             gens = self.level_gens(p)
-            stamp = (len(gens), len(layer.transversal))
-            if layer.stamp == stamp:
-                return
             grew = False
-            points = list(layer.transversal)
-            for pt in points:
-                rep = layer.transversal[pt]
+            for pt, rep in layer.transversal.items():
                 for s in gens:
                     y = s[pt]
                     schreier = _mul(_mul(rep, s), layer.inv_transversal[y])
@@ -343,7 +337,7 @@ class _Chain:
                 if grew:
                     break
             if not grew:
-                layer.stamp = stamp
+                layer.stamp = len(gens)
                 return
 
     def element_tuples(self) -> Iterator[tuple]:
@@ -407,24 +401,26 @@ class BlockSystem:
 class PermGroup:
     """A permutation group with a deterministic stabilizer chain.
 
-    Immutable after construction; safe for concurrent reads.
+    ``generators`` holds the input generators that grew the chain, in input
+    order.  Immutable after construction; safe for concurrent reads.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
-        gens = tuple(generators)
         if degree is None:
-            if not gens:
+            generators = tuple(generators)
+            if not generators:
                 raise ValueError("degree required for an empty generating set")
-            degree = gens[0].degree
-        for g in gens:
+            degree = generators[0].degree
+        self.degree = degree
+        self._chain = _Chain(degree)
+        kept = []
+        for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != group degree {degree}")
-        self.degree = degree
-        self.generators = gens
-        self._chain = _Chain(degree)
-        for g in gens:
-            self._chain.insert(g._img)
+            if self._chain.insert(g._img):
+                kept.append(g)
+        self.generators = tuple(kept)
         self._order = self._chain.order()
         self._orbits = self._compute_orbits()
         self._orbit_id = self._compute_orbit_ids()
@@ -601,7 +597,10 @@ class PermGroup:
     # -- induced actions ----------------------------------------------------
 
     def induced_on(self, domain: Iterable[int]) -> "PermGroup":
-        """Action on a union of orbits, relabeled onto 1..|domain|."""
+        """Action on a union of orbits, relabeled onto 1..|domain|.
+
+        The full point set 1..n returns the group itself.
+        """
         points = sorted(set(domain))
         if not points:
             raise DomainNotInvariant("empty domain")
@@ -613,6 +612,8 @@ class PermGroup:
                     f"domain splits orbit {orbit}")
         if not dom <= set(range(1, self.degree + 1)):
             raise DomainNotInvariant("domain outside 1..n")
+        if len(points) == self.degree:
+            return self
         index = {pt: i for i, pt in enumerate(points)}
         gens = []
         for g in self.generators:
@@ -678,9 +679,7 @@ def intersection(G: PermGroup, H: PermGroup,
     """The subgroup {g : g in G and g in H}.
 
     Its generators are the intersection elements that grew the chain when
-    inserted in enumeration order, so rebuilding from them gives that chain.
+    inserted in enumeration order.
     """
-    chain = _Chain(G.degree)
-    kept = [Permutation._from_tuple(img) for img in intersection_tuples(G, H, cap)
-            if chain.insert(img)]
-    return PermGroup(kept, degree=G.degree)
+    return PermGroup(map(Permutation._from_tuple, intersection_tuples(G, H, cap)),
+                     degree=G.degree)

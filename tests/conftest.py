@@ -8,25 +8,7 @@ path.
 
 import pytest
 
-from cprforge.paper_cases import corpus as _corpus
-from cprforge.perm_core import Permutation, compose
-
-
-def closure_set(gens, degree):
-    """All products of the generators, by breadth-first multiplication."""
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                c = compose(e, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
+from cprforge.paper_cases import closure_set, corpus as _corpus
 
 
 def closure_order(gens, degree):

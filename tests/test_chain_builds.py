@@ -1,0 +1,100 @@
+"""Each group's stabilizer chain is built once, and the chains stay put.
+
+Witnesses are first elements of section enumerations, so they depend on
+every transversal representative the chain engine picks.  The digests
+below pin the enumeration order of every section of order <= 50,000 of
+four graphs, beyond what the golden reports cover.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from cprforge import constructions as cons
+from cprforge import perm_core
+from cprforge.cgroup import Sggi
+from cprforge.perm_core import PermGroup, Permutation, intersection
+from cprforge.report import build_report
+
+SECTION_ORDER_LIMIT = 50_000
+
+SECTION_DIGESTS = {
+    "graph_x(6,2)": (lambda: cons.family_graph_x(6, 2),
+                     "da27c077d39f42fc4119f87c6262fbae5038a6232bfc05eba623eba00eb29396"),
+    "lemme1(4)": (lambda: cons.family_lemme1(4),
+                  "85d1cbdf92c95ab6c1f40096c4fb8843e67e84493baf19373d4ecdf9e2be1f19"),
+    "wreathsimp(4)": (lambda: cons.family_wreathsimp(4),
+                      "97107cb3eb6f1f3c4ebfacdc7addff19f5354938c6742d1cbe2b182db6e8e810"),
+    "nonexample_sevenvertex": (cons.nonexample_sevenvertex,
+                               "b0ecf7c14a2bcc21e4e50d946b51e9eb5d5d1abb89f4f2a0f1584510b22d446f"),
+}
+
+
+def P(text, degree):
+    return Permutation.parse(text, degree)
+
+
+def test_intersection_builds_one_chain(monkeypatch):
+    g1 = PermGroup([P("(1,2)", 5), P("(2,3)", 5), P("(4,5)", 5)])
+    g2 = PermGroup([P("(2,3)", 5), P("(3,4)", 5), P("(4,5)", 5)])
+    built = []
+
+    class CountingChain(perm_core._Chain):
+        def __init__(self, degree):
+            built.append(degree)
+            super().__init__(degree)
+
+    monkeypatch.setattr(perm_core, "_Chain", CountingChain)
+    inter = intersection(g1, g2)
+    assert built == [5]
+    assert inter.order == 4
+
+
+def test_report_builds_no_chain_twice(monkeypatch):
+    seen = []
+    build = PermGroup.__init__
+
+    def recording(self, generators, degree=None):
+        gens = tuple(generators)
+        seen.append((degree or gens[0].degree, tuple(g.images for g in gens)))
+        build(self, gens, degree=degree)
+
+    monkeypatch.setattr(PermGroup, "__init__", recording)
+    build_report(cons.simplex(5), {"path": "simplex(5)"})
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_generators_are_those_that_grew_the_chain():
+    a, b = P("(1,2)", 4), P("(3,4)", 4)
+    group = PermGroup([Permutation.identity(4), a, b, a * b, a, b])
+    assert group.generators == (a, b)
+    assert group.order == 4
+    assert PermGroup(iter([a, b]), degree=4).generators == (a, b)
+
+
+def test_induced_on_every_point_is_the_group():
+    group = Sggi.from_graph(cons.simplex(3)).group()
+    assert group.induced_on([4, 3, 2, 1]) is group
+
+
+def section_digest(g) -> str:
+    sggi = Sggi.from_graph(g)
+    labels = list(sggi.window.labels())
+    digest = hashlib.sha256()
+    for size in range(len(labels) + 1):
+        for kept in itertools.combinations(labels, size):
+            group = sggi.section(kept)
+            if group.order > SECTION_ORDER_LIMIT:
+                continue
+            digest.update(repr(kept).encode())
+            for img in group.element_tuples():
+                digest.update(bytes(img))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_DIGESTS))
+def test_section_enumeration_digests(name):
+    build, expected = SECTION_DIGESTS[name]
+    assert section_digest(build()) == expected
