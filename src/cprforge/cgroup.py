@@ -15,7 +15,8 @@ Two independent intersection-property checkers are provided:
 
 Both return an ``IpCertificate``; a failing certificate carries the first
 witness permutation in the deterministic enumeration order of the offending
-intersection.
+intersection, found by the pruned search of ``perm_core.intersection_tuples``.
+``verify_certificate`` re-checks a failing certificate on its own.
 """
 
 from __future__ import annotations
@@ -242,10 +243,12 @@ class Sggi:
         Returns a passing/failing certificate for that single subset pair.
         The fast path: when both sections are full symmetric products over
         their orbits, the intersection is the symmetric product over the
-        common orbit refinement and only orders need comparing.  Failures
-        always re-run the enumeration scan so the reported witness is the
-        first element of the intersection enumeration that leaves the
-        expected subgroup.
+        common orbit refinement and only orders need comparing.  Every other
+        node, failures of the fast path included, runs the pruned
+        intersection search, so the reported witness is the first element
+        of A ^ B, in the smaller section's enumeration order, that leaves
+        the expected subgroup.  ``cap`` bounds that search's nodes; a trip
+        names both label sets.
         """
         meet = tuple(sorted(set(left) & set(right)))
         A = self.section(left)
@@ -255,18 +258,17 @@ class Sggi:
             actual = _sym_product_meet_order(A, B)
             if actual == C.order:
                 return IpCertificate("pass")
+        witness = None
+        count = 0
         try:
-            common = intersection_tuples(A, B, cap)
+            for img in intersection_tuples(A, B, cap):
+                count += 1
+                if witness is None and not C.contains_tuple(img):
+                    witness = Permutation._from_tuple(img)
         except IntersectionTooLarge as exc:
             raise IntersectionTooLarge(
                 f"sections for {list(left)} and {list(right)}: {exc}",
                 left=exc.left, right=exc.right) from None
-        witness = None
-        count = 0
-        for img in common:
-            count += 1
-            if witness is None and not C.contains_tuple(img):
-                witness = Permutation._from_tuple(img)
         if witness is None:
             return IpCertificate("pass")
         return IpCertificate("fail", left=tuple(left), right=tuple(right),
@@ -371,6 +373,18 @@ class Sggi:
         if self.source is not None:
             source = self.source.union_disjoint(LabeledGraph(2, [(k, 1, 2)]))
         return Sggi(self.window, involutions, n + 2, source=source)
+
+
+def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
+    """Re-check a failing certificate on its own: three membership tests.
+
+    True iff the witness lies in <rho_left> and in <rho_right> but not in
+    <rho_meet>.  The orders are not recomputed.
+    """
+    witness = cert.witness
+    return (sggi.section(cert.left).contains(witness)
+            and sggi.section(cert.right).contains(witness)
+            and not sggi.section(cert.meet).contains(witness))
 
 
 def _sym_product_meet_order(A: PermGroup, B: PermGroup) -> int:

@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("path")
     check.add_argument("--mode", choices=("recursive", "full"), default="recursive")
     check.add_argument("--cap", type=int, default=None,
-                       help=f"intersection enumeration cap, at least 1 "
-                            f"(default {DEFAULT_INTERSECTION_CAP}; "
+                       help=f"cap on the search nodes of each intersection, "
+                            f"at least 1 (default {DEFAULT_INTERSECTION_CAP}; "
                             f"CPRFORGE_CAP overrides)")
     check.add_argument("--json", default=None, help="write the JSON report here")
     check.set_defaults(func=cmd_check)

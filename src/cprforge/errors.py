@@ -10,7 +10,10 @@ class DegreeMismatch(CprforgeError):
 
 
 class IntersectionTooLarge(CprforgeError):
-    """Both groups in an intersection exceed the enumeration cap."""
+    """An intersection search tried more transversal elements than its cap.
+
+    ``left`` and ``right`` are the orders of the two intersected groups.
+    """
 
     def __init__(self, message, left=None, right=None):
         super().__init__(message)

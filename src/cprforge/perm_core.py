@@ -230,24 +230,31 @@ class _Chain:
             n *= len(layer.transversal)
         return n
 
-    def sift(self, g: tuple):
-        """Divide g through the chain; return (residue, stuck_point) or (None, None)."""
-        for p in range(self.degree):
+    def sift_range(self, g: tuple, lo: int, hi: int):
+        """Divide g through the levels lo..hi-1; g must fix every point below lo.
+
+        Returns (residue, None) when the residue fixes every point below hi,
+        else (residue, stuck_point).  Only g's images of points below hi are
+        read, so a partial product that already fixes them can be sifted.
+        """
+        layers = self.layers
+        for p in range(lo, hi):
             x = g[p]
             if x == p:
                 continue
-            layer = self.layers.get(p)
+            layer = layers.get(p)
             if layer is None:
                 return g, p
             u_inv = layer.inv_transversal.get(x)
             if u_inv is None:
                 return g, p
             g = _mul(g, u_inv)
-        return None, None
+        return g, None
 
-    def contains(self, g: tuple) -> bool:
-        residue, _ = self.sift(g)
-        return residue is None
+    def sift(self, g: tuple):
+        """Divide g through the chain; return (residue, stuck_point) or (None, None)."""
+        residue, stuck = self.sift_range(g, 0, self.degree)
+        return (None, None) if stuck is None else (residue, stuck)
 
     # -- construction -------------------------------------------------------
 
@@ -340,17 +347,26 @@ class _Chain:
                 layer.stamp = len(gens)
                 return
 
-    def element_tuples(self) -> Iterator[tuple]:
-        """All elements, depth-first over layers in ascending base order.
+    def ordered_transversals(self) -> tuple:
+        """(base points ascending, each level's representatives by orbit point).
 
-        Within a layer the orbit points are visited ascending, so the
-        identity comes first and the whole order is reproducible.
+        This is the enumeration order, shared by ``element_tuples`` and the
+        intersection search.
         """
         levels = sorted(self.layers)
         reps = [
             [self.layers[p].transversal[pt] for pt in sorted(self.layers[p].transversal)]
             for p in levels
         ]
+        return levels, reps
+
+    def element_tuples(self) -> Iterator[tuple]:
+        """All elements, depth-first over layers in ascending base order.
+
+        Within a layer the orbit points are visited ascending, so the
+        identity comes first and the whole order is reproducible.
+        """
+        levels, reps = self.ordered_transversals()
         identity = tuple(range(self.degree))
         if not levels:
             yield identity
@@ -481,12 +497,25 @@ class PermGroup:
 
     # -- membership ---------------------------------------------------------
 
-    def contains_tuple(self, img: tuple) -> bool:
-        """Membership on a raw 0-based image tuple (the hot path)."""
+    def _sift_range(self, img: tuple, lo: int, hi: int):
+        """The membership test restricted to the points lo..hi-1.
+
+        ``img`` must pass the test on every point below lo.  Returns the
+        residue to continue from, or None when no group element agrees with
+        ``img`` on the points below hi.  A symmetric orbit product only
+        checks that those points stay in their orbits.
+        """
         if self._sym_product:
             ids = self._orbit_id
-            return all(ids[x] == ids[i] for i, x in enumerate(img))
-        return self._chain.contains(img)
+            if all(ids[img[x]] == ids[x] for x in range(lo, hi)):
+                return img
+            return None
+        residue, stuck = self._chain.sift_range(img, lo, hi)
+        return residue if stuck is None else None
+
+    def contains_tuple(self, img: tuple) -> bool:
+        """Membership on a raw 0-based image tuple (the hot path)."""
+        return self._sift_range(img, 0, self.degree) is not None
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -660,26 +689,65 @@ def intersection_tuples(G: PermGroup, H: PermGroup,
                         cap: int = DEFAULT_INTERSECTION_CAP) -> Iterator[tuple]:
     """The elements of G ^ H as raw tuples, in the smaller group's order.
 
-    Enumerates the smaller group (G on a tie) through its chain and filters
-    by membership in the other.  Refuses up front, before any element is
-    produced, when even the smaller order exceeds ``cap``.
+    A depth-first search over the chain of the smaller group (G on a tie)
+    visits its elements in enumeration order.  The transversal elements of
+    level k and deeper fix every point below the k-th base point, so the
+    product of the first k choices already fixes the images of those
+    points.  Each choice sifts only the points it newly fixes through the
+    other group, and a failed sift prunes the subtree, which then holds no
+    element of G ^ H.
+
+    ``cap`` bounds the search nodes, one per transversal element tried at
+    any depth.  The search raises ``IntersectionTooLarge`` on node cap + 1,
+    after yielding everything found before it.
     """
     if G.degree != H.degree:
         raise DegreeMismatch(f"degree {G.degree} vs {H.degree}")
     small, big = (G, H) if G.order <= H.order else (H, G)
-    if small.order > cap:
-        raise IntersectionTooLarge(
-            f"orders {G.order} and {H.order} both exceed cap {cap}",
-            left=G.order, right=H.order)
-    return (img for img in small.element_tuples() if big.contains_tuple(img))
+    return _intersection_search(small, big, cap, (G.order, H.order))
+
+
+def _intersection_search(small: PermGroup, big: PermGroup, cap: int,
+                         orders: tuple) -> Iterator[tuple]:
+    levels, reps = small._chain.ordered_transversals()
+    identity = tuple(range(small.degree))
+    if not levels:
+        yield identity
+        return
+    # depth k fixes the images of the points levels[k]..ends[k]-1
+    ends = levels[1:] + [small.degree]
+    last = len(levels) - 1
+    sift = big._sift_range
+    nodes = 0
+
+    def rec(k: int, acc: tuple, residue: tuple) -> Iterator[tuple]:
+        nonlocal nodes
+        lo, hi = levels[k], ends[k]
+        for u in reps[k]:
+            nodes += 1
+            if nodes > cap:
+                raise IntersectionTooLarge(
+                    f"orders {orders[0]} and {orders[1]}: the intersection "
+                    f"search passed cap {cap} nodes",
+                    left=orders[0], right=orders[1])
+            child_residue = sift(_mul(u, residue), lo, hi)
+            if child_residue is None:
+                continue
+            if k == last:
+                yield _mul(u, acc)
+            else:
+                yield from rec(k + 1, _mul(u, acc), child_residue)
+
+    yield from rec(0, identity, identity)
 
 
 def intersection(G: PermGroup, H: PermGroup,
                  cap: int = DEFAULT_INTERSECTION_CAP) -> PermGroup:
     """The subgroup {g : g in G and g in H}.
 
-    Its generators are the intersection elements that grew the chain when
-    inserted in enumeration order.
+    Its generators are the elements found by ``intersection_tuples`` that
+    grew the chain when inserted in search order; ``cap`` bounds that
+    search's nodes.
     """
     return PermGroup(map(Permutation._from_tuple, intersection_tuples(G, H, cap)),
                      degree=G.degree)

@@ -4,7 +4,8 @@ Exit codes of the ``check`` command:
     0  string C-group
     2  sggi (string property holds) but the intersection property fails
     3  string property fails
-    1  I/O or validation error (bad file, oversized intersection, ...)
+    1  I/O or validation error (bad file, oversized intersection, ...), or
+       a failing certificate that does not re-check (an internal error)
 
 Orders are exact integers; timings are the only inexact fields and are
 excluded from golden comparisons.
@@ -15,7 +16,8 @@ from __future__ import annotations
 import time
 
 from .analysis import fingerprint
-from .cgroup import Sggi
+from .cgroup import Sggi, verify_certificate
+from .errors import CprforgeError
 from .perm_core import DEFAULT_INTERSECTION_CAP
 from .prg import LabeledGraph
 
@@ -112,6 +114,9 @@ def build_report(g: LabeledGraph, descriptor: dict, mode: str = "recursive",
 
     Raises the usual validation errors (IdentityGenerator,
     IntersectionTooLarge, RankTooLarge) for the caller to map to exit 1.
+    A failing certificate is re-checked with ``verify_certificate`` first;
+    one that does not re-check raises ``CprforgeError`` instead of being
+    reported.
     """
     if cap is None:
         cap = DEFAULT_INTERSECTION_CAP
@@ -125,6 +130,12 @@ def build_report(g: LabeledGraph, descriptor: dict, mode: str = "recursive",
     t = time.perf_counter()
     verdict = sggi.is_string_c_group(mode=mode, cap=cap)
     timings["check_ms"] = (time.perf_counter() - t) * 1000.0
+    cert = verdict.certificate
+    if cert is not None and not cert.ok and not verify_certificate(sggi, cert):
+        raise CprforgeError(
+            f"internal error: the failing certificate does not re-check: "
+            f"witness {cert.witness.cycle_string()} for kept labels "
+            f"{list(cert.left)} vs {list(cert.right)}, meet {list(cert.meet)}")
 
     t = time.perf_counter()
     structure = fingerprint(group)
