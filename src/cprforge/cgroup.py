@@ -216,21 +216,34 @@ class Sggi:
     # -- sections -----------------------------------------------------------
 
     def section(self, labels: Iterable[int]) -> PermGroup:
-        """The subgroup generated by the kept labels, cached per subset."""
+        """The subgroup generated by the kept labels, cached per subset.
+
+        A new section extends the cached section of its longest cached
+        prefix (its labels, ascending, minus the largest ones) by the
+        remaining involutions, or is built from scratch when no prefix is
+        cached.  Either way its chain, generators and element order are
+        those of ``PermGroup`` over its involutions in ascending label order.
+        """
         key = frozenset(labels)
         for label in key:
             if label not in self.window:
                 raise KeyError(f"label {label} outside window "
                                f"[{self.window.lo}, {self.window.hi}]")
+        ordered = sorted(key)
         with self._lock:
             cached = self._sections.get(key)
-        if cached is not None:
-            return cached
-        gens = [self.involutions[label] for label in sorted(key)]
-        group = PermGroup(gens, degree=self.degree)
+            if cached is not None:
+                return cached
+            prefix, start = None, 0
+            for end in range(len(ordered) - 1, 0, -1):
+                prefix = self._sections.get(frozenset(ordered[:end]))
+                if prefix is not None:
+                    start = end
+                    break
+        gens = [self.involutions[label] for label in ordered[start:]]
+        group = PermGroup(gens, degree=self.degree, extends=prefix)
         with self._lock:
-            self._sections.setdefault(key, group)
-        return group
+            return self._sections.setdefault(key, group)
 
     def group(self) -> PermGroup:
         return self.section(self.window.labels())

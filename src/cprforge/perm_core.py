@@ -15,6 +15,7 @@ witnesses downstream.  A ``PermGroup`` is immutable once constructed.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,7 +34,10 @@ DEFAULT_INTERSECTION_CAP = 5_000_000
 
 def _mul(p: tuple, q: tuple) -> tuple:
     """Apply p, then q."""
-    return tuple(q[x] for x in p)
+    if len(p) < 2:
+        # itemgetter with a single index returns a scalar, not a tuple
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def _inv(p: tuple) -> tuple:
@@ -44,7 +48,7 @@ def _inv(p: tuple) -> tuple:
 
 
 def _is_id(p: tuple) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return p == tuple(range(len(p)))
 
 
 class Permutation:
@@ -198,7 +202,11 @@ def parity(p: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 class _Layer:
-    """Transversal of the orbit of one base point (0-based)."""
+    """Transversal of the orbit of one base point (0-based).
+
+    The transversal dicts are replaced, never mutated: every change assigns
+    fresh dicts, so copies of a chain may share them.
+    """
 
     __slots__ = ("base", "transversal", "inv_transversal", "stamp")
 
@@ -207,6 +215,13 @@ class _Layer:
         self.transversal = {}       # point -> representative tuple (base -> point)
         self.inv_transversal = {}   # point -> inverse of that representative
         self.stamp = -1             # level generator count at last verification
+
+    def copy(self) -> "_Layer":
+        clone = _Layer(self.base)
+        clone.transversal = self.transversal
+        clone.inv_transversal = self.inv_transversal
+        clone.stamp = self.stamp
+        return clone
 
 
 class _Chain:
@@ -221,6 +236,18 @@ class _Chain:
         self.degree = degree
         self.store = {}    # level point (0-based) -> list of gen tuples
         self.layers = {}   # level point (0-based) -> _Layer
+
+    def copy(self) -> "_Chain":
+        """A chain in the same state that grows independently of this one.
+
+        The store's lists and the layers are copied, because inserting
+        appends to the lists and restamps the layers; the transversal dicts
+        are shared (see ``_Layer``).
+        """
+        clone = _Chain(self.degree)
+        clone.store = {p: list(gens) for p, gens in self.store.items()}
+        clone.layers = {p: layer.copy() for p, layer in self.layers.items()}
+        return clone
 
     # -- queries ------------------------------------------------------------
 
@@ -419,17 +446,28 @@ class PermGroup:
 
     ``generators`` holds the input generators that grew the chain, in input
     order.  Immutable after construction; safe for concurrent reads.
+
+    ``extends`` (internal) starts from a copy of that group's chain and its
+    ``generators`` and inserts ``generators`` after them.  Insertion is
+    deterministic in the chain state, so ``PermGroup(b, extends=PermGroup(a))``
+    has the same chain, generators and element order as ``PermGroup(a + b)``.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
+    def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
+                 *, extends: "PermGroup | None" = None):
         if degree is None:
             generators = tuple(generators)
             if not generators:
                 raise ValueError("degree required for an empty generating set")
             degree = generators[0].degree
         self.degree = degree
-        self._chain = _Chain(degree)
-        kept = []
+        if extends is None:
+            self._chain, kept = _Chain(degree), []
+        else:
+            if extends.degree != degree:
+                raise DegreeMismatch(
+                    f"extended group degree {extends.degree} != group degree {degree}")
+            self._chain, kept = extends._chain.copy(), list(extends.generators)
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(

@@ -12,7 +12,8 @@ graph.  The text format is line-oriented:
     edge 0 1 2
     edge -1 2 3
 
-``vertices <n>`` must be the first non-comment line and appear exactly once;
+``vertices <n>`` must be the first non-comment line and appear exactly once,
+with 0 <= n <= ``MAX_DEGREE``;
 ``edge <label> <a> <b>`` takes an integer label and endpoints 1 <= a,b <= n,
 a != b.  Edges are stored and serialized sorted by (label, a, b) with a < b.
 """
@@ -29,6 +30,11 @@ from .errors import (
 )
 from .perm_core import Permutation
 
+# The most vertices a graph may have.  Every generator, chain element and
+# orbit table holds one entry per vertex, so a larger declared count is
+# refused before anything is allocated for it.
+MAX_DEGREE = 1_000
+
 
 class LabeledGraph:
     """An edge-labeled multigraph over vertices 1..n."""
@@ -38,6 +44,8 @@ class LabeledGraph:
     def __init__(self, n: int, edges: Iterable[tuple]):
         if n < 0:
             raise VertexOutOfRange(f"vertex count {n} is negative")
+        if n > MAX_DEGREE:
+            raise VertexOutOfRange(f"vertex count {n} exceeds the bound {MAX_DEGREE}")
         canonical = []
         for label, a, b in edges:
             if a == b:
@@ -102,6 +110,9 @@ class LabeledGraph:
                     raise PrgSyntaxError(f"bad vertex count {fields[1]!r}", lineno)
                 if n < 0:
                     raise PrgSyntaxError(f"negative vertex count {n}", lineno)
+                if n > MAX_DEGREE:
+                    raise PrgSyntaxError(
+                        f"vertex count {n} exceeds the bound {MAX_DEGREE}", lineno)
             elif fields[0] == "edge":
                 if n is None:
                     raise PrgSyntaxError("'edge' before 'vertices'", lineno)

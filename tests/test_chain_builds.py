@@ -8,8 +8,11 @@ four graphs, beyond what the golden reports cover.
 
 import hashlib
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprforge import constructions as cons
 from cprforge import perm_core
@@ -55,10 +58,12 @@ def test_report_builds_no_chain_twice(monkeypatch):
     seen = []
     build = PermGroup.__init__
 
-    def recording(self, generators, degree=None):
+    def recording(self, generators, degree=None, *, extends=None):
+        # key each build by the whole generator list its chain represents
         gens = tuple(generators)
-        seen.append((degree or gens[0].degree, tuple(g.images for g in gens)))
-        build(self, gens, degree=degree)
+        full = (extends.generators if extends is not None else ()) + gens
+        seen.append((degree or full[0].degree, tuple(g.images for g in full)))
+        build(self, gens, degree=degree, extends=extends)
 
     monkeypatch.setattr(PermGroup, "__init__", recording)
     build_report(cons.simplex(5), {"path": "simplex(5)"})
@@ -98,3 +103,81 @@ def section_digest(g) -> str:
 def test_section_enumeration_digests(name):
     build, expected = SECTION_DIGESTS[name]
     assert section_digest(build()) == expected
+
+
+# -- chains built by extension ------------------------------------------------
+
+def chain_state(group):
+    """Everything a chain's later growth and enumeration read, in dict order."""
+    chain = group._chain
+    layers = [(p, layer.base, list(layer.transversal.items()),
+               list(layer.inv_transversal.items()), layer.stamp)
+              for p, layer in chain.layers.items()]
+    store = [(p, list(gens)) for p, gens in chain.store.items()]
+    return chain.degree, store, layers, group.generators
+
+
+def assert_sections_match_scratch(sggi, subsets, monkeypatch):
+    extended = []
+    build = PermGroup.__init__
+
+    def recording(self, generators, degree=None, *, extends=None):
+        extended.append(extends is not None)
+        build(self, generators, degree=degree, extends=extends)
+
+    monkeypatch.setattr(PermGroup, "__init__", recording)
+    sections = [sggi.section(kept) for kept in subsets]
+    monkeypatch.setattr(PermGroup, "__init__", build)
+    for kept, group in zip(subsets, sections):
+        scratch = PermGroup([sggi.generator(l) for l in sorted(kept)],
+                            degree=sggi.degree)
+        assert chain_state(group) == chain_state(scratch), kept
+    return extended
+
+
+EXTENSION_GRAPHS = {name: build for name, (build, _) in SECTION_DIGESTS.items()}
+EXTENSION_GRAPHS["simplex(9)"] = lambda: cons.simplex(9)
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_GRAPHS))
+def test_extended_sections_equal_scratch_chains(name, monkeypatch):
+    g = EXTENSION_GRAPHS[name]()
+    labels = list(Sggi.from_graph(g).window.labels())
+    subsets = [kept for size in range(len(labels) + 1)
+               for kept in itertools.combinations(labels, size)]
+    # ascending size: every section of two or more labels extends its
+    # cached prefix minus the largest label
+    extended = assert_sections_match_scratch(Sggi.from_graph(g), subsets, monkeypatch)
+    assert sum(extended) == sum(1 for kept in subsets if len(kept) >= 2)
+    # shuffled: longer gaps to the longest cached prefix, and none at all
+    shuffled = subsets[:]
+    random.Random(0).shuffle(shuffled)
+    extended = assert_sections_match_scratch(Sggi.from_graph(g), shuffled, monkeypatch)
+    assert 0 < sum(extended) < len(shuffled)
+
+
+@st.composite
+def generator_lists(draw):
+    """Degree 1-8, 1-6 generators (identities and repeats allowed), and
+    ascending cut points splitting the list into extension steps."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6))
+    cuts = sorted(draw(st.sets(st.integers(0, len(gens)), max_size=3)))
+    return n, [Permutation(images) for images in gens], cuts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(generator_lists())
+def test_extended_chain_equals_scratch(drawn):
+    n, gens, cuts = drawn
+    group, start = None, 0
+    for end in [*cuts, len(gens)]:
+        before = None if group is None else chain_state(group)
+        grown = PermGroup(gens[start:end], degree=n, extends=group)
+        # extending copies the chain, so the prefix group does not move
+        assert group is None or chain_state(group) == before
+        group, start = grown, end
+    scratch = PermGroup(gens, degree=n)
+    assert chain_state(group) == chain_state(scratch)
+    assert list(group.element_tuples()) == list(scratch.element_tuples())
+    assert group.orbits() == scratch.orbits()

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from cprforge import constructions as cons
+from cprforge import prg
 from cprforge.cgroup import Sggi
 from cprforge.cli import main
 from cprforge.prg import LabeledGraph
@@ -121,6 +122,14 @@ def test_check_cap_error_names_the_node(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sections for [0, 1] and [1, 2]" in err
     assert "orders 8 and 6" in err and "cap 2" in err
+
+
+def test_check_refuses_vertex_count_over_bound(tmp_path, capsys):
+    path = tmp_path / "huge.prg"
+    path.write_text(f"vertices {prg.MAX_DEGREE + 1}\nedge 0 1 2\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and "exceeds the bound" in err
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

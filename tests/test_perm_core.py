@@ -19,8 +19,11 @@ from cprforge.perm_core import (
     Permutation,
     compose,
     element_order,
+    _is_id,
+    _mul,
     group_from_generators,
     intersection,
+    intersection_tuples,
     parity,
 )
 
@@ -241,7 +244,30 @@ def test_enumeration_deterministic_and_complete():
     assert len(first) == g1.order == closure_order(gens, 4)
 
 
+def test_degree_one_group():
+    group = PermGroup([Permutation.identity(1)])
+    assert group.order == 1 and group.generators == ()
+    assert list(group.element_tuples()) == [(0,)]
+    assert list(intersection_tuples(group, group)) == [(0,)]
+    meet = intersection(group, group)
+    assert meet.degree == 1 and meet.order == 1
+    assert list(meet.element_tuples()) == [(0,)]
+
+
 # -- property tests -----------------------------------------------------------
+
+@given(st.integers(0, 16).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+@settings(max_examples=200, deadline=None)
+def test_tuple_helpers_match_generator_forms(pair):
+    # the reference forms the itemgetter product and the identity test replaced
+    p, q = tuple(pair[0]), tuple(pair[1])
+    product = _mul(p, q)
+    assert type(product) is tuple
+    assert product == tuple(q[x] for x in p)
+    identity = tuple(range(len(p)))
+    for t in (p, q, product, identity):
+        assert _is_id(t) == all(i == x for i, x in enumerate(t))
 
 perm_strategy = st.integers(3, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cprforge import constructions as cons
+from cprforge import prg
 from cprforge.cgroup import Sggi
 from cprforge.errors import (
     DuplicateEdge,
@@ -47,6 +48,18 @@ def test_parse_errors_carry_line_numbers():
         LabeledGraph.parse("vertices 2\nfrobnicate\n")
     with pytest.raises(PrgSyntaxError):
         LabeledGraph.parse("")
+
+
+def test_vertex_count_bound():
+    # refused by parse, before any generator of a billion points exists
+    with pytest.raises(PrgSyntaxError) as err:
+        LabeledGraph.parse("# huge\nvertices 1000000000\nedge 0 1 2\n")
+    assert err.value.line == 2
+    assert "exceeds the bound" in str(err.value)
+    with pytest.raises(VertexOutOfRange):
+        LabeledGraph(prg.MAX_DEGREE + 1, [])
+    g = LabeledGraph.parse(f"vertices {prg.MAX_DEGREE}\nedge 0 1 2\n")
+    assert g.n == prg.MAX_DEGREE
 
 
 def test_duplicate_edge_and_range():

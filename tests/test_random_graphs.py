@@ -3,8 +3,11 @@
 Recursive mode, full mode and ``intersection`` share one intersection scan,
 so their agreement alone no longer tests that scan.  Every failing
 certificate is therefore also re-checked against the brute-force closure
-oracle in ``conftest``, which never touches a stabilizer chain.
+oracle in ``conftest``, which never touches a stabilizer chain, and so is
+the order of every section, most of which extend a cached section's chain.
 """
+
+import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -64,3 +67,14 @@ def test_failing_certificates_reverify(g):
     for cert in (sggi.check_ip_recursive(), sggi.check_ip_full()):
         if not cert.ok:
             assert_certificate_verifies(sggi, cert)
+
+
+@SETTINGS
+@given(graphs())
+def test_section_orders_match_closure(g):
+    sggi = Sggi.from_graph(g)
+    labels = list(sggi.window.labels())
+    for size in range(len(labels) + 1):
+        for kept in itertools.combinations(labels, size):
+            gens = [sggi.generator(l) for l in kept]
+            assert sggi.section(kept).order == len(closure_set(gens, g.n)), kept
