@@ -7,9 +7,11 @@ indexes by *removed* labels; convert before calling.)
 
 Two independent intersection-property checkers are provided:
 
-* ``check_ip_recursive`` descends over contiguous label intervals, using the
+* ``check_ip_recursive`` sweeps the contiguous label intervals, using the
   fact that an sggi is a string C-group iff both maximal intervals are and
-  their intersection is the inner interval's group.
+  their intersection is the inner interval's group.  It checks each
+  interval after both of its sub-intervals, in one loop without recursion,
+  so any rank is checked.
 * ``check_ip_full`` checks every pair of label subsets with neither side
   containing the other.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -288,69 +291,48 @@ class Sggi:
                              meet=meet, expected_order=C.order,
                              actual_order=count, witness=witness)
 
+    def _first_failure(self, pairs, cap: int) -> IpCertificate:
+        """Node-check each (left, right) pair in order; the first failure."""
+        for left, right in pairs:
+            cert = self._node_check(left, right, cap)
+            if not cert.ok:
+                return cert
+        return IpCertificate("pass")
+
     def check_ip_recursive(self, cap: int = DEFAULT_INTERSECTION_CAP) -> IpCertificate:
-        """Recursive descent over contiguous label intervals.
+        """Column sweep over contiguous label intervals.
 
         Interval [i..j] passes iff [i..j-1] and [i+1..j] pass and
         <rho_[i..j-1]> ^ <rho_[i+1..j]> = <rho_[i+1..j-1]>.  Rank <= 1 always
-        passes; every longer interval, rank 2 included, goes through the node
-        check.  Memoized on intervals; the innermost failing interval is
-        reported.
+        passes.  The sweep checks every interval of rank >= 2 by column, j
+        ascending and i from j-1 down, so both sub-intervals of a node come
+        before it; a memoized recursive descent visits them in the same
+        order, hence the name.  The first failing interval is reported.
         """
-        memo = {}
-
-        def check(i: int, j: int) -> IpCertificate:
-            key = (i, j)
-            if key in memo:
-                return memo[key]
-            rank = j - i + 1
-            if rank <= 1:
-                result = IpCertificate("pass")
-            else:
-                result = check(i, j - 1)
-                if result.ok:
-                    result = check(i + 1, j)
-                if result.ok:
-                    result = self._node_check(
-                        tuple(range(i, j)), tuple(range(i + 1, j + 1)), cap)
-            memo[key] = result
-            return result
-
-        return check(self.window.lo, self.window.hi)
-
-    def _subset_pairs(self):
-        """Canonical order of subset pairs: masks with I < J, no containment.
-
-        Bit k of a mask selects label lo+k.
-        """
-        labels = list(self.window.labels())
-        total = 1 << len(labels)
-        for a in range(1, total):
-            for b in range(a + 1, total):
-                common = a & b
-                if common == a or common == b:
-                    continue
-                yield (a, b)
-
-    def _mask_labels(self, mask: int) -> tuple:
-        lo = self.window.lo
-        return tuple(lo + k for k in range(self.rank) if mask >> k & 1)
+        lo, hi = self.window.lo, self.window.hi
+        return self._first_failure(
+            ((tuple(range(i, j)), tuple(range(i + 1, j + 1)))
+             for j in range(lo + 1, hi + 1) for i in range(j - 1, lo - 1, -1)),
+            cap)
 
     def check_ip_full(self, cap: int = DEFAULT_INTERSECTION_CAP) -> IpCertificate:
         """Check every subset pair with neither side containing the other.
 
-        Pairs are checked serially in canonical order, so the reported
-        failure is the canonically first one.  Ranks above
-        ``DEFAULT_FULL_RANK_BOUND`` are refused.
+        Pairs are checked serially in canonical order: masks a < b with no
+        containment, bit k selecting label lo+k.  So the reported failure is
+        the canonically first one.  Ranks above ``DEFAULT_FULL_RANK_BOUND``
+        are refused.
         """
         if self.rank > DEFAULT_FULL_RANK_BOUND:
             raise RankTooLarge(
                 f"rank {self.rank} exceeds exhaustive bound {DEFAULT_FULL_RANK_BOUND}")
-        for a, b in self._subset_pairs():
-            cert = self._node_check(self._mask_labels(a), self._mask_labels(b), cap)
-            if not cert.ok:
-                return cert
-        return IpCertificate("pass")
+        lo, total = self.window.lo, 1 << self.rank
+        labels = [tuple(lo + k for k in range(self.rank) if mask >> k & 1)
+                  for mask in range(total)]
+        return self._first_failure(
+            ((labels[a], labels[b]) for a in range(1, total)
+             for b in range(a + 1, total) if a & b not in (a, b)),
+            cap)
 
     def is_string_c_group(self, mode: str = "recursive",
                           cap: int = DEFAULT_INTERSECTION_CAP) -> CprVerdict:
@@ -404,14 +386,8 @@ def _sym_product_meet_order(A: PermGroup, B: PermGroup) -> int:
     """|A ^ B| when both are full symmetric products over their orbits.
 
     Sym(P_1) x ... intersected with Sym(Q_1) x ... is the symmetric product
-    over the cells of the common refinement {P_i ^ Q_j}.
+    over the cells of the common refinement {P_i ^ Q_j}: the points sharing
+    one pair of orbit ids.
     """
-    order = 1
-    b_orbits = B.orbits()
-    for p in A.orbits():
-        pset = set(p)
-        for q in b_orbits:
-            cell = pset & set(q)
-            if cell:
-                order *= math.factorial(len(cell))
-    return order
+    cells = Counter(zip(A._orbit_id, B._orbit_id))
+    return math.prod(math.factorial(size) for size in cells.values())

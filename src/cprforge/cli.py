@@ -15,7 +15,7 @@ import sys
 
 from . import constructions
 from .constructions import FamilySpec, build_family
-from .errors import CprforgeError, PrgError
+from .errors import CprforgeError
 from .paper_cases import CASES, run_cases
 from .perm_core import DEFAULT_INTERSECTION_CAP
 from .prg import LabeledGraph
@@ -180,13 +180,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except PrgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CprforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (CprforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,6 +15,7 @@ witnesses downstream.  A ``PermGroup`` is immutable once constructed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -671,14 +672,12 @@ class PermGroup:
         points = sorted(set(domain))
         if not points:
             raise DomainNotInvariant("empty domain")
-        dom = set(points)
-        for orbit in self._orbits:
-            inside = dom.intersection(orbit)
-            if inside and len(inside) != len(orbit):
-                raise DomainNotInvariant(
-                    f"domain splits orbit {orbit}")
-        if not dom <= set(range(1, self.degree + 1)):
+        if points[0] < 1 or points[-1] > self.degree:
             raise DomainNotInvariant("domain outside 1..n")
+        touched = Counter(self._orbit_id[pt - 1] for pt in points)
+        for idx in sorted(touched):
+            if touched[idx] != len(self._orbits[idx]):
+                raise DomainNotInvariant(f"domain splits orbit {self._orbits[idx]}")
         if len(points) == self.degree:
             return self
         index = {pt: i for i, pt in enumerate(points)}
