@@ -34,6 +34,7 @@ from .perm_core import (
     DEFAULT_INTERSECTION_CAP,
     PermGroup,
     Permutation,
+    _mul,
     compose,
     element_order,
     intersection_tuples,
@@ -198,13 +199,22 @@ class Sggi:
     # -- string property ----------------------------------------------------
 
     def check_string_property(self) -> StringPropertyVerdict:
-        """(rho_i rho_j)^2 = 1 for all |i-j| >= 2; first offending pair on fail."""
+        """(rho_i rho_j)^2 = 1 for all |i-j| >= 2; first offending pair on fail.
+
+        For involutions that holds exactly when rho_i and rho_j commute, and
+        involutions whose supports do not meet always commute.
+        """
         labels = list(self.window.labels())
+        imgs = [self.involutions[label]._img for label in labels]
+        supports = [{x for x, y in enumerate(img) if x != y} for img in imgs]
         for idx, i in enumerate(labels):
-            for j in labels[idx + 2:]:
-                prod = compose(self.involutions[i], self.involutions[j])
-                if not compose(prod, prod).is_identity():
-                    return StringPropertyVerdict(False, (i, j))
+            a, moved = imgs[idx], supports[idx]
+            for jdx in range(idx + 2, len(labels)):
+                if moved.isdisjoint(supports[jdx]):
+                    continue
+                b = imgs[jdx]
+                if _mul(a, b) != _mul(b, a):
+                    return StringPropertyVerdict(False, (i, labels[jdx]))
         return StringPropertyVerdict(True)
 
     def schlafli_type(self) -> tuple:

@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import constructions as cons
 from .analysis import find_splits, fracture_graph, verify_graph_x_witness
 from .cgroup import Sggi
-from .perm_core import PermGroup, Permutation, compose, intersection
+from .errors import DegreeMismatch
+from .perm_core import PermGroup, Permutation, intersection
 from .prg import LabeledGraph, canonical_form
 
 SELFCHECK_SEED = 0x5C9C
@@ -370,21 +372,39 @@ def case_splits_primitivity() -> CaseResult:
 # case 9: engine self-checks
 # ---------------------------------------------------------------------------
 
-def closure_set(gens: list, degree: int) -> set:
-    """All products of the generators by breadth-first multiplication, no chain."""
-    ident = Permutation.identity(degree)
+def closure_tuples(gens: list, degree: int) -> set:
+    """All products of the generators as raw 0-based image tuples, no chain.
+
+    A breadth-first search from the identity that steps by left
+    multiplication, one ``itemgetter`` per generator built once: the step
+    for ``g`` maps ``e`` to ``g`` then ``e``, which closes to the same
+    finite group as right multiplication.  It never touches ``PermGroup``
+    or its stabilizer chain, so it stays an independent oracle for them.
+    """
+    for g in gens:
+        if g.degree != degree:
+            raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
+    ident = tuple(range(degree))
+    if degree <= 1:
+        # the only permutation; itemgetter with one index returns a scalar
+        return {ident}
+    steps = [itemgetter(*g._img) for g in gens]
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for e in frontier:
-            for gen in gens:
-                c = compose(e, gen)
+        for step in steps:
+            for c in map(step, frontier):
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
     return seen
+
+
+def closure_set(gens: list, degree: int) -> set:
+    """``closure_tuples`` wrapped as ``Permutation`` objects."""
+    return set(map(Permutation._from_tuple, closure_tuples(gens, degree)))
 
 
 def case_engine_selfchecks() -> CaseResult:
@@ -399,17 +419,17 @@ def case_engine_selfchecks() -> CaseResult:
             rng.shuffle(img)
             gens.append(Permutation(img))
         group = PermGroup(gens)
-        closure = closure_set(gens, degree)
+        closure = closure_tuples(gens, degree)
         case.check(group.order == len(closure),
                    f"set {trial}: chain order {group.order} != closure {len(closure)}")
         sample = closure if len(closure) <= 10_000 else list(closure)[:2000]
-        case.check(all(group.contains(p) for p in sample),
+        case.check(all(group.contains_tuple(t) for t in sample),
                    f"set {trial}: closure element rejected")
         for _ in range(10):
             img = list(range(1, degree + 1))
             rng.shuffle(img)
             p = Permutation(img)
-            case.check(group.contains(p) == (p in closure),
+            case.check(group.contains(p) == (p._img in closure),
                        f"set {trial}: membership disagrees for {p.cycle_string()}")
         groups.append((group, closure))
     pairs = 0
@@ -422,7 +442,7 @@ def case_engine_selfchecks() -> CaseResult:
             expected = c1 & c2
             case.check(inter.order == len(expected),
                        f"intersection order {inter.order} != {len(expected)}")
-            case.check(set(inter.elements()) == expected,
+            case.check(set(inter.element_tuples()) == expected,
                        "intersection element set differs from double enumeration")
             if pairs >= 25:
                 break
