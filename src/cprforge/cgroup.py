@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -202,19 +203,38 @@ class Sggi:
         """(rho_i rho_j)^2 = 1 for all |i-j| >= 2; first offending pair on fail.
 
         For involutions that holds exactly when rho_i and rho_j commute, and
-        involutions whose supports do not meet always commute.
+        involutions whose supports do not meet always commute.  Labels with
+        equal involutions share one class, and commutation is decided once
+        per pair of classes whose supports meet.  For each label i in order,
+        the first failing j is the least position at or after i + 2 of a
+        class that does not commute with i's, so the first failing pair is
+        that of the scan over (i, j) in order.
         """
         labels = list(self.window.labels())
-        imgs = [self.involutions[label]._img for label in labels]
-        supports = [{x for x, y in enumerate(img) if x != y} for img in imgs]
-        for idx, i in enumerate(labels):
-            a, moved = imgs[idx], supports[idx]
-            for jdx in range(idx + 2, len(labels)):
-                if moved.isdisjoint(supports[jdx]):
-                    continue
-                b = imgs[jdx]
-                if _mul(a, b) != _mul(b, a):
-                    return StringPropertyVerdict(False, (i, labels[jdx]))
+        class_of = {}
+        cls = [class_of.setdefault(self.involutions[label]._img, len(class_of))
+               for label in labels]
+        imgs = list(class_of)
+        positions = [[] for _ in imgs]
+        for idx, c in enumerate(cls):
+            positions[c].append(idx)
+        # point -> the classes that move it
+        movers = {}
+        for c, img in enumerate(imgs):
+            for x, y in enumerate(img):
+                if x != y:
+                    movers.setdefault(x, []).append(c)
+        clashes = {}
+        for idx, c in enumerate(cls):
+            if c not in clashes:
+                a = imgs[c]
+                near = {d for x, y in enumerate(a) if x != y for d in movers[x]}
+                clashes[c] = [positions[d] for d in sorted(near)
+                              if _mul(a, imgs[d]) != _mul(imgs[d], a)]
+            firsts = [pos[k] for pos in clashes[c]
+                      if (k := bisect_left(pos, idx + 2)) < len(pos)]
+            if firsts:
+                return StringPropertyVerdict(False, (labels[idx], labels[min(firsts)]))
         return StringPropertyVerdict(True)
 
     def schlafli_type(self) -> tuple:

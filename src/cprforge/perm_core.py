@@ -5,18 +5,26 @@ of permutation representation graphs; internally images live in 0-based
 tuples.  Composition order is fixed package-wide: ``compose(p, q)`` applies
 ``p`` first, then ``q``.
 
-Groups carry a deterministic stabilizer chain (Schreier-Sims with the base
+A group's deterministic stabilizer chain (Schreier-Sims with the base
 fixed to the ascending point order 1..n, skipping points the relevant
-stabilizer does not move).  The same input generator list always produces
-the same chain, the same element enumeration order and therefore the same
-witnesses downstream.  A ``PermGroup`` is immutable once constructed.
+stabilizer does not move) is built on demand.  The same input generator
+list always produces the same chain, the same element enumeration order and
+therefore the same witnesses downstream, whenever the chain is built.  A
+group whose transposition generators connect each of its orbits is
+certified as the full product of the orbits' symmetric groups when it is
+constructed; it answers order and membership from its orbits and builds no
+chain unless it is enumerated, searched, asked for its kept generators or
+extended by a group that needs one.  Every other group builds its chain
+when it is constructed.  A ``PermGroup`` is immutable once constructed,
+apart from that one-time chain build.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -50,6 +58,30 @@ def _inv(p: tuple) -> tuple:
 
 def _is_id(p: tuple) -> bool:
     return p == tuple(range(len(p)))
+
+
+def _joined(ids: tuple, pairs: list) -> tuple:
+    """The partition ``ids`` with the blocks of each pair's points joined.
+
+    A partition of 0..n-1 is given by block ids that number the blocks by
+    their least points, as ``PermGroup._orbit_id`` does; so is the result.
+    """
+    first = {}
+    parent = [first.setdefault(i, x) for x, i in enumerate(ids)]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # the least point stays the root
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = {}
+    return tuple(roots.setdefault(find(x), len(roots)) for x in range(len(ids)))
 
 
 class Permutation:
@@ -443,44 +475,163 @@ class BlockSystem:
 
 
 class PermGroup:
-    """A permutation group with a deterministic stabilizer chain.
+    """A permutation group with a deterministic stabilizer chain, built on demand.
 
-    ``generators`` holds the input generators that grew the chain, in input
-    order.  Immutable after construction; safe for concurrent reads.
+    The constructor first tries a certificate.  Transpositions whose graph
+    connects a point set O generate Sym(O) (Wielandt, *Finite Permutation
+    Groups*, Thm 13.3), so when the transposition generators join the
+    points of every orbit into one component, the group is exactly the
+    product of the orbits' symmetric groups.  A certified group takes its
+    order and membership test from its orbits and leaves its chain unbuilt;
+    the chain is built the first time ``_chain`` or ``generators`` is read,
+    by the same deterministic insertion as an uncertified group, which
+    builds its chain in the constructor.  So chains, kept generators and
+    element orders do not depend on when, or whether, a group was certified.
 
-    ``extends`` (internal) starts from a copy of that group's chain and its
-    ``generators`` and inserts ``generators`` after them.  Insertion is
-    deterministic in the chain state, so ``PermGroup(b, extends=PermGroup(a))``
-    has the same chain, generators and element order as ``PermGroup(a + b)``.
+    Immutable after construction apart from that one-time build; safe for
+    concurrent reads: a build runs on locals and publishes the chain and the
+    kept generators together, once.
+
+    ``extends`` (internal) starts from that group's chain and ``generators``
+    (building them first if needed) and inserts ``generators`` after them.
+    Insertion is deterministic in the chain state, so
+    ``PermGroup(b, extends=PermGroup(a))`` has the same chain, generators and
+    element order as ``PermGroup(a + b)``.
     """
+
+    # guards the one-time publication of a lazily built chain
+    _publish_lock = threading.Lock()
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
                  *, extends: "PermGroup | None" = None):
+        generators = tuple(generators)
         if degree is None:
-            generators = tuple(generators)
             if not generators:
                 raise ValueError("degree required for an empty generating set")
             degree = generators[0].degree
         self.degree = degree
-        if extends is None:
-            self._chain, kept = _Chain(degree), []
-        else:
-            if extends.degree != degree:
-                raise DegreeMismatch(
-                    f"extended group degree {extends.degree} != group degree {degree}")
-            self._chain, kept = extends._chain.copy(), list(extends.generators)
+        if extends is not None and extends.degree != degree:
+            raise DegreeMismatch(
+                f"extended group degree {extends.degree} != group degree {degree}")
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != group degree {degree}")
-            if self._chain.insert(g._img):
-                kept.append(g)
-        self.generators = tuple(kept)
+        self._extends = extends
+        self._new = generators
+        self._state = None      # (chain, kept generators) once built
+        self._tcomp = self._transposition_components()
+        if self._certified():
+            self._orbit_id = self._tcomp
+            self._orbits = self._orbits_of_ids()
+            self._order = math.prod(math.factorial(len(o)) for o in self._orbits)
+            self._sym_product = True
+            return
+        self._build()
+        # the chain and kept generators stand in for the inputs and the prefix
+        self._new, self._extends = (), None
         self._order = self._chain.order()
         self._orbits = self._compute_orbits()
         self._orbit_id = self._compute_orbit_ids()
         self._sym_product = self._order == math.prod(
             math.factorial(len(o)) for o in self._orbits)
+
+    # -- the certificate ----------------------------------------------------
+
+    def _transposition_components(self) -> tuple:
+        """Block ids of the components joined by transposition generators."""
+        n = self.degree
+        identity = tuple(range(n))
+        tcomp = identity if self._extends is None else self._extends._tcomp
+        pairs = []
+        for g in self._new:
+            img = g._img
+            if sum(map(ne, img, identity)) == 2:
+                a, b = (x for x in identity if img[x] != x)
+                if tcomp[a] != tcomp[b]:
+                    pairs.append((a, b))
+        return _joined(tcomp, pairs) if pairs else tcomp
+
+    def _certified(self) -> bool:
+        """True when the transposition components are the orbits.
+
+        They are when every input generator maps each component onto
+        itself: this group's own inputs, and the prefix's, which do exactly
+        when each orbit of the prefix lies inside one component.
+        """
+        tcomp = self._tcomp
+        if not all(_mul(g._img, tcomp) == tcomp for g in self._new):
+            return False
+        prefix = self._extends
+        if prefix is None:
+            return True
+        # each point's component against that of its prefix orbit's least point
+        least = tuple(tcomp[orbit[0] - 1] for orbit in prefix._orbits)
+        return _mul(prefix._orbit_id, least) == tcomp
+
+    # -- the chain ----------------------------------------------------------
+
+    @property
+    def _chain(self) -> _Chain:
+        return (self._state or self._build())[0]
+
+    @property
+    def generators(self) -> tuple:
+        """The input generators that grew the chain, in input order.
+
+        Reading them builds the chain of a certified group; readers that
+        need only some generating set use ``_generating_set``.
+        """
+        return (self._state or self._build())[1]
+
+    def _build(self) -> tuple:
+        """Build and publish the chain, after that of every unbuilt prefix.
+
+        Walks the ``extends`` links up to the nearest built group (or the
+        first one) and builds down from there, so each prefix is built once
+        and from its own prefix's chain.
+        """
+        pending = [self]
+        while pending[-1]._extends is not None and pending[-1]._extends._state is None:
+            pending.append(pending[-1]._extends)
+        prefix = pending[-1]._extends
+        state = None if prefix is None else prefix._state
+        for group in reversed(pending):
+            state = group._grow(state)
+        return state
+
+    def _grow(self, prefix_state: tuple | None) -> tuple:
+        """Insert the inputs into a copy of the prefix's chain; publish once."""
+        if prefix_state is None:
+            chain, kept = _Chain(self.degree), []
+        else:
+            chain, kept = prefix_state[0].copy(), list(prefix_state[1])
+        for g in self._new:
+            if chain.insert(g._img):
+                kept.append(g)
+        with PermGroup._publish_lock:
+            if self._state is None:
+                self._state = (chain, tuple(kept))
+            return self._state
+
+    def _generating_set(self) -> list:
+        """Generators of this group that need no chain.
+
+        The kept generators of the nearest built group on the ``extends``
+        links, followed by the inputs after it.  Inputs that did not grow a
+        chain lie in the group generated before them, so for orbits, block
+        systems and induced actions this set gives the same results as
+        ``generators``; an induced group built from it even has the same
+        chain and kept generators.
+        """
+        parts = []
+        group = self
+        while group is not None and group._state is None:
+            parts.append(group._new)
+            group = group._extends
+        if group is not None:
+            parts.append(group._state[1])
+        return [g for part in reversed(parts) for g in part]
 
     # -- structure ----------------------------------------------------------
 
@@ -513,6 +664,13 @@ class PermGroup:
                 ids[pt - 1] = idx
         return tuple(ids)
 
+    def _orbits_of_ids(self) -> tuple:
+        """The 1-based orbits of ``_orbit_id``, which numbers them by least point."""
+        orbits = [[] for _ in range(max(self._orbit_id, default=-1) + 1)]
+        for x, idx in enumerate(self._orbit_id):
+            orbits[idx].append(x + 1)
+        return tuple(map(tuple, orbits))
+
     @property
     def order(self) -> int:
         return self._order
@@ -529,8 +687,10 @@ class PermGroup:
     def is_symmetric_orbit_product(self) -> bool:
         """True iff the group is the full direct product Sym(O_1) x ... x Sym(O_k).
 
-        Exact: holds iff the order equals the product of orbit factorials.
-        Membership then reduces to an orbit-preservation check.
+        Exact: a group certified by its transposition generators holds it
+        without a chain; any other holds it iff its chain's order equals the
+        product of orbit factorials.  Membership then reduces to an
+        orbit-preservation check.
         """
         return self._sym_product
 
@@ -596,7 +756,7 @@ class PermGroup:
             parent[ry] = rx
             return True
 
-        gen_imgs = [g._img for g in self.generators]
+        gen_imgs = [g._img for g in self._generating_set()]
         queue = [(a, b)]
         union(a, b)
         head = 0
@@ -682,7 +842,7 @@ class PermGroup:
             return self
         index = {pt: i for i, pt in enumerate(points)}
         gens = []
-        for g in self.generators:
+        for g in self._generating_set():
             img = [0] * len(points)
             for pt in points:
                 img[index[pt]] = index[g.apply(pt)]
@@ -692,7 +852,7 @@ class PermGroup:
     def induced_on_blocks(self, system: BlockSystem) -> "PermGroup":
         """Action on the blocks of an invariant partition, as 1..#blocks."""
         gens = []
-        for g in self.generators:
+        for g in self._generating_set():
             img = [0] * len(system.blocks)
             for idx, cell in enumerate(system.blocks):
                 target = system.block_map.get(g.apply(cell[0]))
