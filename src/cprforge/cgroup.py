@@ -15,9 +15,14 @@ Two independent intersection-property checkers are provided:
 * ``check_ip_full`` checks every pair of label subsets with neither side
   containing the other.
 
-Both return an ``IpCertificate``; a failing certificate carries the first
-witness permutation in the deterministic enumeration order of the offending
-intersection, found by the pruned search of ``perm_core.intersection_tuples``.
+Both return an ``IpCertificate``.  A node passes exactly when |A ^ B|
+equals the order of the meet section C, which always lies in A ^ B; the
+count comes from the orbits when both sections are symmetric orbit
+products, and otherwise from the subgroup backtrack of
+``perm_core.intersection_order`` seeded with C, which never lists A ^ B.  A
+failing certificate carries the first witness permutation in the
+deterministic enumeration order of the offending intersection, found by the
+pruned search of ``perm_core.intersection_tuples``, which stops there.
 ``verify_certificate`` re-checks a failing certificate on its own.
 """
 
@@ -38,6 +43,7 @@ from .perm_core import (
     _mul,
     compose,
     element_order,
+    intersection_order,
     intersection_tuples,
 )
 from .prg import LabeledGraph
@@ -287,39 +293,39 @@ class Sggi:
         """Check <rho_left> ^ <rho_right> = <rho_(left^right)>.
 
         Returns a passing/failing certificate for that single subset pair.
-        The fast path: when both sections are full symmetric products over
-        their orbits, the intersection is the symmetric product over the
-        common orbit refinement and only orders need comparing.  Every other
-        node, failures of the fast path included, runs the pruned
-        intersection search, so the reported witness is the first element
-        of A ^ B, in the smaller section's enumeration order, that leaves
-        the expected subgroup.  ``cap`` bounds that search's nodes; a trip
-        names both label sets.
+        The meet section C lies in A ^ B, so the node passes exactly when
+        |A ^ B| = |C|, and only that count is needed.  When both sections
+        are full symmetric products over their orbits, A ^ B is the
+        symmetric product over the common orbit refinement and the count is
+        a product of factorials.  Otherwise the subgroup backtrack of
+        ``perm_core.intersection_order``, seeded with C, counts it without
+        listing A ^ B.  Only a failing node searches for its witness: the
+        first element of A ^ B, in the smaller section's enumeration order,
+        that leaves C, found by the pruned search of ``intersection_tuples``
+        stopped there.  ``cap`` bounds the nodes of each of those two
+        searches; a trip names both label sets.
         """
         meet = tuple(sorted(set(left) & set(right)))
         A = self.section(left)
         B = self.section(right)
         C = self.section(meet)
-        if A.is_symmetric_orbit_product and B.is_symmetric_orbit_product:
-            actual = _sym_product_meet_order(A, B)
+        try:
+            if A.is_symmetric_orbit_product and B.is_symmetric_orbit_product:
+                actual = _sym_product_meet_order(A, B)
+            else:
+                actual = intersection_order(A, B, known=C, cap=cap)
             if actual == C.order:
                 return IpCertificate("pass")
-        witness = None
-        count = 0
-        try:
-            for img in intersection_tuples(A, B, cap):
-                count += 1
-                if witness is None and not C.contains_tuple(img):
-                    witness = Permutation._from_tuple(img)
+            witness = next(img for img in intersection_tuples(A, B, cap)
+                           if not C.contains_tuple(img))
         except IntersectionTooLarge as exc:
             raise IntersectionTooLarge(
                 f"sections for {list(left)} and {list(right)}: {exc}",
                 left=exc.left, right=exc.right) from None
-        if witness is None:
-            return IpCertificate("pass")
         return IpCertificate("fail", left=tuple(left), right=tuple(right),
                              meet=meet, expected_order=C.order,
-                             actual_order=count, witness=witness)
+                             actual_order=actual,
+                             witness=Permutation._from_tuple(witness))
 
     def _first_failure(self, pairs, cap: int) -> IpCertificate:
         """Node-check each (left, right) pair in order; the first failure."""

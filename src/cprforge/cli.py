@@ -148,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("path")
     check.add_argument("--mode", choices=("recursive", "full"), default="recursive")
     check.add_argument("--cap", type=int, default=None,
-                       help=f"cap on the search nodes of each intersection, "
-                            f"at least 1 (default {DEFAULT_INTERSECTION_CAP}; "
-                            f"CPRFORGE_CAP overrides)")
+                       help=f"cap on the nodes of each intersection count and "
+                            f"witness search, at least 1 (default "
+                            f"{DEFAULT_INTERSECTION_CAP}; CPRFORGE_CAP overrides)")
     check.add_argument("--json", default=None, help="write the JSON report here")
     check.set_defaults(func=cmd_check)
 

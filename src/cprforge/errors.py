@@ -10,7 +10,7 @@ class DegreeMismatch(CprforgeError):
 
 
 class IntersectionTooLarge(CprforgeError):
-    """An intersection search tried more transversal elements than its cap.
+    """An intersection search or count visited more nodes than its cap.
 
     ``left`` and ``right`` are the orders of the two intersected groups.
     """

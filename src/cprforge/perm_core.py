@@ -68,20 +68,25 @@ def _joined(ids: tuple, pairs: list) -> tuple:
     """
     first = {}
     parent = [first.setdefault(i, x) for x, i in enumerate(ids)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # the least point stays the root
-            parent[max(ra, rb)] = min(ra, rb)
+        _union(parent, a, b)
     roots = {}
-    return tuple(roots.setdefault(find(x), len(roots)) for x in range(len(ids)))
+    return tuple(roots.setdefault(_root(parent, x), len(roots)) for x in range(len(ids)))
+
+
+def _root(parent: list, x: int) -> int:
+    """The root of x's class in a union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, x: int, y: int) -> None:
+    """Join the classes of x and y under the lesser root."""
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
 
 
 class Permutation:
@@ -424,22 +429,28 @@ class _Chain:
         """All elements, depth-first over layers in ascending base order.
 
         Within a layer the orbit points are visited ascending, so the
-        identity comes first and the whole order is reproducible.
+        identity comes first and the whole order is reproducible.  The walk
+        keeps an explicit stack of (product so far, remaining choices).
         """
-        levels, reps = self.ordered_transversals()
+        _, reps = self.ordered_transversals()
         identity = tuple(range(self.degree))
-        if not levels:
+        if not reps:
             yield identity
             return
-
-        def rec(k: int, acc: tuple) -> Iterator[tuple]:
-            if k == len(levels):
-                yield acc
-                return
-            for u in reps[k]:
-                yield from rec(k + 1, _mul(u, acc))
-
-        yield from rec(0, identity)
+        last = reps[-1]
+        stack = [(identity, iter(reps[0]))]
+        while stack:
+            acc, choices = stack[-1]
+            if len(stack) == len(reps):
+                stack.pop()
+                for u in last:
+                    yield _mul(u, acc)
+                continue
+            for u in choices:
+                stack.append((_mul(u, acc), iter(reps[len(stack)])))
+                break
+            else:
+                stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -896,46 +907,157 @@ def intersection_tuples(G: PermGroup, H: PermGroup,
 
     ``cap`` bounds the search nodes, one per transversal element tried at
     any depth.  The search raises ``IntersectionTooLarge`` on node cap + 1,
-    after yielding everything found before it.
+    after yielding everything found before it.  ``intersection_order`` runs
+    the same search below single prefixes.
     """
+    small, big = _smaller_first(G, H)
+    identity = tuple(range(small.degree))
+    return _pruned_search(_search_plan(small, big, cap, (G.order, H.order)), 0,
+                          identity, identity, [0])
+
+
+def _smaller_first(G: PermGroup, H: PermGroup) -> tuple:
     if G.degree != H.degree:
         raise DegreeMismatch(f"degree {G.degree} vs {H.degree}")
-    small, big = (G, H) if G.order <= H.order else (H, G)
-    return _intersection_search(small, big, cap, (G.order, H.order))
+    return (G, H) if G.order <= H.order else (H, G)
 
 
-def _intersection_search(small: PermGroup, big: PermGroup, cap: int,
-                         orders: tuple) -> Iterator[tuple]:
+def _search_plan(small: PermGroup, big: PermGroup, cap: int, orders: tuple) -> tuple:
+    """What ``_pruned_search`` reads: small's levels, their representatives,
+    the end of each level's fixed points, big's membership test on a point
+    range, the cap and the two orders for its message."""
     levels, reps = small._chain.ordered_transversals()
-    identity = tuple(range(small.degree))
-    if not levels:
-        yield identity
-        return
     # depth k fixes the images of the points levels[k]..ends[k]-1
     ends = levels[1:] + [small.degree]
-    last = len(levels) - 1
-    sift = big._sift_range
-    nodes = 0
+    return levels, reps, ends, big._sift_range, cap, orders
 
-    def rec(k: int, acc: tuple, residue: tuple) -> Iterator[tuple]:
-        nonlocal nodes
+
+def _too_large(cap: int, orders: tuple) -> IntersectionTooLarge:
+    return IntersectionTooLarge(
+        f"orders {orders[0]} and {orders[1]}: the intersection "
+        f"search passed cap {cap} nodes",
+        left=orders[0], right=orders[1])
+
+
+def _pruned_search(plan: tuple, depth: int, acc: tuple, residue: tuple,
+                   spent: list) -> Iterator[tuple]:
+    """The elements of small ^ big below one prefix, in enumeration order.
+
+    ``acc`` is the product of the choices above ``depth`` and ``residue``
+    its sift through big on every point they fix.  One node is counted in
+    ``spent[0]`` per transversal element tried, and node cap + 1 raises.
+    The count is written back before each element is yielded and at the
+    end, so a caller that stops early reads what it used.  The walk keeps
+    an explicit stack of (depth, product, residue, remaining choices).
+    """
+    levels, reps, ends, sift, cap, orders = plan
+    if depth == len(levels):
+        yield acc
+        return
+    last = len(levels) - 1
+    nodes = spent[0]
+    stack = [(depth, acc, residue, iter(reps[depth]))]
+    while stack:
+        k, acc, residue, choices = stack[-1]
         lo, hi = levels[k], ends[k]
-        for u in reps[k]:
+        for u in choices:
             nodes += 1
             if nodes > cap:
-                raise IntersectionTooLarge(
-                    f"orders {orders[0]} and {orders[1]}: the intersection "
-                    f"search passed cap {cap} nodes",
-                    left=orders[0], right=orders[1])
-            child_residue = sift(_mul(u, residue), lo, hi)
-            if child_residue is None:
+                raise _too_large(cap, orders)
+            child = sift(_mul(u, residue), lo, hi)
+            if child is None:
                 continue
             if k == last:
+                spent[0] = nodes
                 yield _mul(u, acc)
             else:
-                yield from rec(k + 1, _mul(u, acc), child_residue)
+                stack.append((k + 1, _mul(u, acc), child, iter(reps[k + 1])))
+                break
+        else:
+            stack.pop()
+    spent[0] = nodes
 
-    yield from rec(0, identity, identity)
+
+def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = None,
+                       cap: int = DEFAULT_INTERSECTION_CAP) -> int:
+    """|G ^ H| by subgroup backtrack, without listing G ^ H.
+
+    ``known``, when given, must be a subgroup of G ^ H; it only saves work.
+    Let b_0 < ... < b_m be the base points of the smaller group's chain and
+    D_k the elements of D = G ^ H that fix every point below b_k.  Then
+    |D| is the product of the sizes of the orbits b_k^(D_k).  The levels
+    are settled from the deepest up (Seress, *Permutation Group
+    Algorithms*, 2003, Sec. 9.1).  K is generated by the elements of D
+    found so far and by generators of ``known``'s subgroup fixing every
+    point below b_k; it lies in D_k, so each D_k-orbit is a union of
+    K-orbits.  At level k each transversal point outside b_k's K-orbit and
+    outside every K-orbit already proven absent is the start of one
+    existence search: the pruned search below the prefix u_gamma, stopped
+    at its first element.  A found element joins K; when none exists the
+    point's whole K-orbit is absent, marked by its root.  (A class that
+    later joins under another root drops the mark, which costs at most a
+    repeated search.)  Once every point is settled, b_k's K-orbit is
+    b_k^(D_k).  Only K's orbits are kept, in one union-find that grows from
+    level to level.
+
+    ``cap`` bounds the nodes: one per transversal point visited at a
+    level, skipped points included, and one per transversal element tried
+    by the existence searches.  Node cap + 1 raises ``IntersectionTooLarge``
+    with the message of ``intersection_tuples``.
+    """
+    small, big = _smaller_first(G, H)
+    orders = (G.order, H.order)
+    plan = _search_plan(small, big, cap, orders)
+    levels, reps, ends, sift = plan[:4]
+    parent = list(range(small.degree))
+    seeds = [] if known is None else _stabilizer_seeds(known)
+    spent = [0]
+    order = 1
+    for k in range(len(levels) - 1, -1, -1):
+        b = levels[k]
+        while seeds and seeds[-1][0] >= b:
+            for x, y in seeds.pop()[1]:
+                _union(parent, x, y)
+        absent = set()
+        for u in reps[k]:
+            spent[0] += 1
+            if spent[0] > cap:
+                raise _too_large(cap, orders)
+            root = _root(parent, u[b])
+            if root == _root(parent, b) or root in absent:
+                continue
+            residue = sift(u, b, ends[k])
+            found = None if residue is None else next(
+                _pruned_search(plan, k + 1, u, residue, spent), None)
+            if found is None:
+                absent.add(root)
+                continue
+            # found fixes every point below b
+            for x in range(b, small.degree):
+                if found[x] != x:
+                    _union(parent, x, found[x])
+        root = _root(parent, b)
+        order *= sum(1 for u in reps[k] if _root(parent, u[b]) == root)
+    return order
+
+
+def _stabilizer_seeds(known: PermGroup) -> list:
+    """Generators of ``known``'s point stabilizers, as the point pairs they join.
+
+    A list of (least moved point, pairs), sorted by that point: the entries
+    at or above b generate the subgroup of ``known`` fixing every point
+    below b.  A symmetric orbit product gives the transpositions of
+    consecutive points of each orbit, so a certified group needs no chain;
+    any other group gives its chain's strong generators.
+    """
+    if known.is_symmetric_orbit_product:
+        seeds = [(x - 1, ((x - 1, y - 1),))
+                 for orbit in known.orbits() for x, y in zip(orbit, orbit[1:])]
+    else:
+        seeds = [(p, tuple((x, g[x]) for x in range(p, known.degree) if g[x] != x))
+                 for p, gens in known._chain.store.items() for g in gens]
+    seeds.sort(key=itemgetter(0))
+    return seeds
 
 
 def intersection(G: PermGroup, H: PermGroup,
