@@ -34,6 +34,18 @@ class FractureReport:
         return self.exists
 
 
+def _label_deleted(g: LabeledGraph):
+    """Per label: the components of the graph without that label's edges,
+    each vertex's component index, and the label's edges joining two
+    components."""
+    for label in g.labels:
+        comps = g.restrict_labels(set(g.labels) - {label}).components()
+        comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
+        crossing = [(a, b) for lab, a, b in g.edges_with_label(label)
+                    if comp_of[a] != comp_of[b]]
+        yield label, comps, comp_of, crossing
+
+
 def fracture_graph(g: LabeledGraph) -> FractureReport:
     """For each label i, a least i-edge joining distinct orbits of the
     subgroup generated by the other labels; fails when some label-deleted
@@ -42,19 +54,11 @@ def fracture_graph(g: LabeledGraph) -> FractureReport:
     base_count = len(g.components())
     chosen = {}
     failing = []
-    for label in g.labels:
-        rest = g.restrict_labels(set(g.labels) - {label})
-        comps = rest.components()
+    for label, comps, _, crossing in _label_deleted(g):
         if len(comps) <= base_count:
             failing.append(label)
-            continue
-        comp_of = {}
-        for idx, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = idx
-        crossing = [(a, b) for lab, a, b in g.edges_with_label(label)
-                    if comp_of[a] != comp_of[b]]
-        chosen[label] = min(crossing)
+        else:
+            chosen[label] = min(crossing)
     if failing:
         return FractureReport(False, {}, tuple(failing))
     return FractureReport(True, chosen, ())
@@ -115,15 +119,8 @@ def find_splits(g: LabeledGraph) -> list:
             failing_labels=fracture.failing_labels)
     base = g.components()
     splits = []
-    for label in g.labels:
-        rest = g.restrict_labels(set(g.labels) - {label})
-        comps = rest.components()
-        if len(comps) != len(base) + 1:
-            continue
-        comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
-        crossing = [(a, b) for lab, a, b in g.edges_with_label(label)
-                    if comp_of[a] != comp_of[b]]
-        if len(crossing) != 1:
+    for label, comps, comp_of, crossing in _label_deleted(g):
+        if len(comps) != len(base) + 1 or len(crossing) != 1:
             continue
         a, b = crossing[0]
         part_a = set(comps[comp_of[a]])
@@ -222,7 +219,9 @@ class Fingerprint:
 
 
 def _match_name(group: PermGroup, orbit_sizes, induced_orders,
-                factorization_ok) -> NamedMatch | None:
+                factorization_ok, systems) -> NamedMatch | None:
+    """The named match; ``systems`` are the minimal block systems of a
+    transitive group."""
     n = group.degree
     order = group.order
     if group.is_transitive:
@@ -230,7 +229,6 @@ def _match_name(group: PermGroup, orbit_sizes, induced_orders,
             return NamedMatch("S_n", {"n": n})
         if n % 2 == 0:
             r = n // 2
-            systems = group.minimal_block_systems()
             if order == 2 ** r * math.factorial(r) and any(
                     s.block_size == 2 and len(s) == r for s in systems):
                 return NamedMatch("C2wrSr", {"r": r})
@@ -260,10 +258,12 @@ def fingerprint(group: PermGroup) -> Fingerprint:
     """
     orbit_sizes = tuple(len(o) for o in group.orbits())
     transitive = group.is_transitive
-    primitive = group.is_primitive() if transitive and group.degree >= 1 else None
+    # computed once: primitivity and the named match both read them
+    systems = group.minimal_block_systems() if transitive else []
+    primitive = not systems if transitive and group.degree >= 1 else None
     induced = tuple(group.induced_on(o).order for o in group.orbits())
     factorization_ok = group.order == math.prod(induced)
-    match = _match_name(group, orbit_sizes, induced, factorization_ok)
+    match = _match_name(group, orbit_sizes, induced, factorization_ok, systems)
     return Fingerprint(
         orbit_sizes=orbit_sizes,
         transitive=transitive,

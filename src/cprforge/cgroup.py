@@ -264,15 +264,17 @@ class Sggi:
         those of ``PermGroup`` over its involutions in ascending label order.
         """
         key = frozenset(labels)
+        with self._lock:
+            cached = self._sections.get(key)
+        if cached is not None:
+            return cached
+        # only valid keys are stored, so only a miss needs checking
         for label in key:
             if label not in self.window:
                 raise KeyError(f"label {label} outside window "
                                f"[{self.window.lo}, {self.window.hi}]")
         ordered = sorted(key)
         with self._lock:
-            cached = self._sections.get(key)
-            if cached is not None:
-                return cached
             prefix, start = None, 0
             for end in range(len(ordered) - 1, 0, -1):
                 prefix = self._sections.get(frozenset(ordered[:end]))

@@ -9,14 +9,18 @@ A group's deterministic stabilizer chain (Schreier-Sims with the base
 fixed to the ascending point order 1..n, skipping points the relevant
 stabilizer does not move) is built on demand.  The same input generator
 list always produces the same chain, the same element enumeration order and
-therefore the same witnesses downstream, whenever the chain is built.  A
-group whose transposition generators connect each of its orbits is
-certified as the full product of the orbits' symmetric groups when it is
-constructed; it answers order and membership from its orbits and builds no
-chain unless it is enumerated, searched, asked for its kept generators or
-extended by a group that needs one.  Every other group builds its chain
-when it is constructed.  A ``PermGroup`` is immutable once constructed,
-apart from that one-time chain build.
+therefore the same witnesses downstream, whenever the chain is built.
+
+Every partition of points comes from one union-find (``_joined``): a
+group's orbits join the point pairs (x, g(x)) of its input generators onto
+its prefix's orbits, and its transposition components join the points of
+its transposition generators.  A group whose transposition components are
+its orbits is certified as the full product of the orbits' symmetric
+groups when it is constructed; it answers order and membership from its
+orbits and builds no chain unless it is enumerated, searched, asked for
+its kept generators or extended by a group that needs one.  Every other
+group builds its chain when it is constructed.  A ``PermGroup`` is
+immutable once constructed, apart from that one-time chain build.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
+from itertools import compress
 from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
@@ -65,13 +70,25 @@ def _joined(ids: tuple, pairs: list) -> tuple:
 
     A partition of 0..n-1 is given by block ids that number the blocks by
     their least points, as ``PermGroup._orbit_id`` does; so is the result.
+    This union-find is the one way the package partitions points: orbits,
+    transposition components, block systems and graph components.  Its
+    nodes are the blocks of ``ids``, whose order is that of their least
+    points, so the least root of a joined class is its least block.
     """
-    first = {}
-    parent = [first.setdefault(i, x) for x, i in enumerate(ids)]
+    if not pairs:
+        return ids
+    parent = list(range(max(ids) + 1))
     for a, b in pairs:
-        _union(parent, a, b)
-    roots = {}
-    return tuple(roots.setdefault(_root(parent, x), len(roots)) for x in range(len(ids)))
+        _union(parent, ids[a], ids[b])
+    # parent[i] <= i: a root takes the next id, any other block its parent's
+    relabel, roots = [], 0
+    for i, up in enumerate(parent):
+        if up < i:
+            relabel.append(relabel[up])
+        else:
+            relabel.append(roots)
+            roots += 1
+    return _mul(ids, relabel)
 
 
 def _root(parent: list, x: int) -> int:
@@ -82,11 +99,21 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
-def _union(parent: list, x: int, y: int) -> None:
-    """Join the classes of x and y under the lesser root."""
+def _union(parent: list, x: int, y: int) -> bool:
+    """Join the classes of x and y under the lesser root; True if they were apart."""
     rx, ry = _root(parent, x), _root(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
+def _cells(ids: Iterable) -> tuple:
+    """The 1-based cells of a partition given by block ids, by least point."""
+    cells = {}
+    for x, i in enumerate(ids, 1):
+        cells.setdefault(i, []).append(x)
+    return tuple(map(tuple, cells.values()))
 
 
 class Permutation:
@@ -488,16 +515,18 @@ class BlockSystem:
 class PermGroup:
     """A permutation group with a deterministic stabilizer chain, built on demand.
 
-    The constructor first tries a certificate.  Transpositions whose graph
-    connects a point set O generate Sym(O) (Wielandt, *Finite Permutation
-    Groups*, Thm 13.3), so when the transposition generators join the
-    points of every orbit into one component, the group is exactly the
-    product of the orbits' symmetric groups.  A certified group takes its
-    order and membership test from its orbits and leaves its chain unbuilt;
-    the chain is built the first time ``_chain`` or ``generators`` is read,
-    by the same deterministic insertion as an uncertified group, which
-    builds its chain in the constructor.  So chains, kept generators and
-    element orders do not depend on when, or whether, a group was certified.
+    The constructor first takes the orbits from the union-find over the
+    input generators and the prefix's orbits, then tries a certificate.
+    Transpositions whose graph connects a point set O generate Sym(O)
+    (Wielandt, *Finite Permutation Groups*, Thm 13.3), and the transposition
+    components always refine the orbits; so when they are the orbits, the
+    group is exactly the product of the orbits' symmetric groups.  A
+    certified group takes its order and membership test from its orbits and
+    leaves its chain unbuilt; the chain is built the first time ``_chain``
+    or ``generators`` is read, by the same deterministic insertion as an
+    uncertified group, which builds its chain in the constructor.  So
+    chains, kept generators and element orders do not depend on when, or
+    whether, a group was certified.
 
     Immutable after construction apart from that one-time build; safe for
     concurrent reads: a build runs on locals and publishes the chain and the
@@ -532,25 +561,35 @@ class PermGroup:
         self._new = generators
         self._state = None      # (chain, kept generators) once built
         self._tcomp = self._transposition_components()
-        if self._certified():
-            self._orbit_id = self._tcomp
-            self._orbits = self._orbits_of_ids()
-            self._order = math.prod(math.factorial(len(o)) for o in self._orbits)
+        ids = tuple(range(degree)) if extends is None else extends._orbit_id
+        for g in generators:
+            # join the pairs (x, g(x)) that cross the orbits so far; an input
+            # that keeps every orbit costs one comparison
+            moved = _mul(g._img, ids)
+            if moved != ids:
+                ids = _joined(ids, [(x, g._img[x]) for x in
+                                    compress(range(degree), map(ne, moved, ids))])
+        self._orbit_id = ids
+        self._orbits = _cells(self._orbit_id)
+        sym_order = math.prod(math.factorial(len(o)) for o in self._orbits)
+        if self._tcomp == self._orbit_id:
+            self._order = sym_order
             self._sym_product = True
             return
         self._build()
         # the chain and kept generators stand in for the inputs and the prefix
         self._new, self._extends = (), None
         self._order = self._chain.order()
-        self._orbits = self._compute_orbits()
-        self._orbit_id = self._compute_orbit_ids()
-        self._sym_product = self._order == math.prod(
-            math.factorial(len(o)) for o in self._orbits)
+        self._sym_product = self._order == sym_order
 
     # -- the certificate ----------------------------------------------------
 
     def _transposition_components(self) -> tuple:
-        """Block ids of the components joined by transposition generators."""
+        """Block ids of the components joined by transposition generators.
+
+        They always refine the orbits, and equal them exactly when the
+        transpositions connect every orbit: that is the certificate.
+        """
         n = self.degree
         identity = tuple(range(n))
         tcomp = identity if self._extends is None else self._extends._tcomp
@@ -561,24 +600,7 @@ class PermGroup:
                 a, b = (x for x in identity if img[x] != x)
                 if tcomp[a] != tcomp[b]:
                     pairs.append((a, b))
-        return _joined(tcomp, pairs) if pairs else tcomp
-
-    def _certified(self) -> bool:
-        """True when the transposition components are the orbits.
-
-        They are when every input generator maps each component onto
-        itself: this group's own inputs, and the prefix's, which do exactly
-        when each orbit of the prefix lies inside one component.
-        """
-        tcomp = self._tcomp
-        if not all(_mul(g._img, tcomp) == tcomp for g in self._new):
-            return False
-        prefix = self._extends
-        if prefix is None:
-            return True
-        # each point's component against that of its prefix orbit's least point
-        least = tuple(tcomp[orbit[0] - 1] for orbit in prefix._orbits)
-        return _mul(prefix._orbit_id, least) == tcomp
+        return _joined(tcomp, pairs)
 
     # -- the chain ----------------------------------------------------------
 
@@ -645,42 +667,6 @@ class PermGroup:
         return [g for part in reversed(parts) for g in part]
 
     # -- structure ----------------------------------------------------------
-
-    def _compute_orbits(self) -> tuple:
-        n = self.degree
-        seen = [False] * n
-        orbits = []
-        gen_imgs = [g._img for g in self.generators]
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            head = 0
-            while head < len(orbit):
-                pt = orbit[head]
-                head += 1
-                for img in gen_imgs:
-                    y = img[pt]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-            orbits.append(tuple(sorted(x + 1 for x in orbit)))
-        return tuple(orbits)
-
-    def _compute_orbit_ids(self) -> tuple:
-        ids = [0] * self.degree
-        for idx, orbit in enumerate(self._orbits):
-            for pt in orbit:
-                ids[pt - 1] = idx
-        return tuple(ids)
-
-    def _orbits_of_ids(self) -> tuple:
-        """The 1-based orbits of ``_orbit_id``, which numbers them by least point."""
-        orbits = [[] for _ in range(max(self._orbit_id, default=-1) + 1)]
-        for x, idx in enumerate(self._orbit_id):
-            orbits[idx].append(x + 1)
-        return tuple(map(tuple, orbits))
 
     @property
     def order(self) -> int:
@@ -749,39 +735,19 @@ class PermGroup:
 
     def _finest_block_system_with(self, a: int, b: int) -> BlockSystem:
         """Finest invariant partition placing 0-based points a and b together."""
-        n = self.degree
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return True
-
+        parent = list(range(self.degree))
         gen_imgs = [g._img for g in self._generating_set()]
         queue = [(a, b)]
-        union(a, b)
+        _union(parent, a, b)
         head = 0
         while head < len(queue):
             x, y = queue[head]
             head += 1
             for img in gen_imgs:
                 sx, sy = img[x], img[y]
-                if union(sx, sy):
+                if _union(parent, sx, sy):
                     queue.append((sx, sy))
-        cells = {}
-        for pt in range(n):
-            cells.setdefault(find(pt), []).append(pt + 1)
-        return BlockSystem(cells.values())
+        return BlockSystem(_cells([_root(parent, x) for x in range(self.degree)]))
 
     def minimal_block_systems(self) -> list:
         """All minimal nontrivial block systems.

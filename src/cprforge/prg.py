@@ -28,7 +28,7 @@ from .errors import (
     PrgSyntaxError,
     VertexOutOfRange,
 )
-from .perm_core import Permutation
+from .perm_core import Permutation, _cells, _joined
 
 # The most vertices a graph may have.  Every generator, chain element and
 # orbit table holds one entry per vertex, so a larger declared count is
@@ -195,24 +195,8 @@ class LabeledGraph:
 
     def components(self) -> tuple:
         """Connected components, singletons included, ordered by least vertex."""
-        adj = self.adjacency()
-        seen = set()
-        comps = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            head = 0
-            while head < len(comp):
-                v = comp[head]
-                head += 1
-                for _, w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return _cells(_joined(tuple(range(self.n)),
+                              [(a - 1, b - 1) for _, a, b in self.edges]))
 
     # -- shape lemma --------------------------------------------------------
 

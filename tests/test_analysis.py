@@ -233,3 +233,19 @@ def test_witness_implies_recursive_failure():
 def test_witness_range_check():
     with pytest.raises(ValueError):
         verify_graph_x_witness(4, 1)
+
+
+def test_fingerprint_computes_block_systems_once(monkeypatch):
+    from cprforge.perm_core import PermGroup
+    calls = []
+    finest = PermGroup._finest_block_system_with
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return finest(self, a, b)
+
+    monkeypatch.setattr(PermGroup, "_finest_block_system_with", counting)
+    fp = fingerprint(group_of(cons.family_wreathsimp(6)))
+    assert fp.primitive is False and fp.named_match.name == "C2wrSr"
+    # one finest system per partner of point 1 in the 12-point group
+    assert len(calls) == 11

@@ -300,3 +300,14 @@ def test_concurrent_checks_agree():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_section_cache_hits_skip_validation_but_misses_raise():
+    s = sggi_of(cons.simplex(4))
+    assert s.check_ip_full().ok
+    for labels in ([7], [0, 7]):
+        with pytest.raises(KeyError, match=r"^'label 7 outside window \[0, 3\]'$"):
+            s.section(labels)
+    # every cached key stays valid and a hit returns the stored object
+    assert s.section([2, 0]) is s.section((0, 2)) is s.section({0, 2})
+    assert s.section(s.window.labels()) is s.group()

@@ -1,0 +1,290 @@
+"""Point partitions against models that share no code with the package.
+
+Graph components, group orbits, the symmetric-product certificate and
+block systems all come from the one union-find in ``perm_core``.  Each
+reference model here is kept inside this file: components by breadth-first
+search, the certificate by the rule it replaced, and block systems by
+listing every partition into equal cells.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cprforge.cgroup import Sggi
+from cprforge.errors import NotTransitive
+from cprforge.paper_cases import corpus
+from cprforge.perm_core import PermGroup, Permutation
+from cprforge.prg import LabeledGraph
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def bfs_classes(n, pairs):
+    """Point -> class index (0-based points), by breadth-first search over
+    the pairs as undirected edges; classes numbered by least point."""
+    adj = {x: set() for x in range(n)}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    cls, count = {}, 0
+    for start in range(n):
+        if start in cls:
+            continue
+        cls[start] = idx = count
+        count += 1
+        frontier = [start]
+        while frontier:
+            frontier = [y for x in frontier for y in adj[x] if y not in cls]
+            for y in frontier:
+                cls[y] = idx
+    return [cls[x] for x in range(n)]
+
+
+def classes_to_cells(cls):
+    cells = {}
+    for x, idx in enumerate(cls):
+        cells.setdefault(idx, []).append(x + 1)
+    return tuple(tuple(c) for c in cells.values())
+
+
+# -- graph components --------------------------------------------------------------
+
+def reference_components(g):
+    return classes_to_cells(bfs_classes(g.n, [(a - 1, b - 1) for _, a, b in g.edges]))
+
+
+@st.composite
+def random_graphs(draw):
+    """n <= 12 and up to four labels, each a random partial matching, so
+    isolated vertices and edgeless graphs occur."""
+    n = draw(st.integers(0, 12))
+    edges = []
+    for label in range(draw(st.integers(0, 4))):
+        order = draw(st.permutations(range(1, n + 1)))
+        k = draw(st.integers(0, n // 2))
+        edges += [(label, order[2 * i], order[2 * i + 1]) for i in range(k)]
+    return LabeledGraph(n, edges)
+
+
+def test_components_match_bfs_on_corpus():
+    for name, g in corpus():
+        assert g.components() == reference_components(g), name
+        for label in g.labels:
+            rest = g.restrict_labels(set(g.labels) - {label})
+            assert rest.components() == reference_components(rest), (name, label)
+
+
+def test_components_of_empty_and_edgeless_graphs():
+    assert LabeledGraph(0, []).components() == ()
+    assert LabeledGraph(3, []).components() == ((1,), (2,), (3,))
+    assert LabeledGraph(5, [(0, 2, 5), (1, 5, 4)]).components() == ((1,), (2, 4, 5), (3,))
+
+
+@SETTINGS
+@given(random_graphs())
+def test_components_match_bfs_on_random_graphs(g):
+    assert g.components() == reference_components(g)
+
+
+# -- the symmetric-product certificate -------------------------------------------
+
+def moved_pairs(gens):
+    return [(x, y) for g in gens for x, y in enumerate(g._img) if x != y]
+
+
+def parent_certified(prefix_gens, new_gens, n):
+    """The certificate as stated before orbits came from the union-find:
+    every new input maps each transposition component onto itself, and
+    each orbit of the prefix lies inside one component."""
+    transpositions = [g for g in prefix_gens + new_gens if len(g.support()) == 2]
+    tcomp = bfs_classes(n, moved_pairs(transpositions))
+    if not all(tcomp[g._img[x]] == tcomp[x] for g in new_gens for x in range(n)):
+        return False
+    if not prefix_gens:
+        return True
+    orbit = bfs_classes(n, moved_pairs(prefix_gens))
+    return all(tcomp[x] == tcomp[y] for x in range(n) for y in range(n)
+               if orbit[x] == orbit[y])
+
+
+def sym_product_order(gens, n):
+    return math.prod(math.factorial(len(c))
+                     for c in classes_to_cells(bfs_classes(n, moved_pairs(gens))))
+
+
+def assert_step_matches(group, prefix_gens, new_gens, n, order):
+    certified = parent_certified(prefix_gens, new_gens, n)
+    assert (group._state is None) == certified
+    assert group.is_symmetric_orbit_product == (
+        certified or order == sym_product_order(prefix_gens + new_gens, n))
+
+
+def test_certificate_matches_parent_rule_on_corpus_sections():
+    seen = 0
+    for name, g in corpus():
+        sggi = Sggi.from_graph(g)
+        labels = list(sggi.window.labels())
+        built = {}
+        for size in range(len(labels) + 1):
+            for kept in itertools.combinations(labels, size):
+                gens = [sggi.generator(l) for l in kept]
+                alone = PermGroup(gens, degree=g.n)
+                assert_step_matches(alone, [], gens, g.n, alone.order)
+                seen += alone._state is None
+                if kept:
+                    # extending the section of all labels but the last,
+                    # whose chain may or may not have been built
+                    grown = PermGroup(gens[-1:], degree=g.n, extends=built[kept[:-1]])
+                    assert_step_matches(grown, gens[:-1], gens[-1:], g.n, alone.order)
+                    seen += grown._state is None
+                built[kept] = alone
+    # 540 of the 1,800 groups are certified
+    assert seen >= 500
+
+
+@st.composite
+def extension_steps(draw):
+    """Degree 0-9, up to 8 generators, each a transposition, an involution
+    or an arbitrary permutation, and cut points splitting the list into
+    extension steps."""
+    n = draw(st.integers(0, 9))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        pts = draw(st.permutations(range(1, n + 1)))
+        kind = draw(st.sampled_from(["transposition", "involution", "any"]))
+        if n < 2:
+            gens.append(Permutation.identity(n))
+        elif kind == "transposition":
+            gens.append(Permutation.from_cycles(n, [pts[:2]]))
+        elif kind == "involution":
+            k = draw(st.integers(1, n // 2))
+            gens.append(Permutation.from_cycles(
+                n, [pts[2 * i:2 * i + 2] for i in range(k)]))
+        else:
+            gens.append(Permutation(pts))
+    cuts = sorted(draw(st.sets(st.integers(0, len(gens)), max_size=4)))
+    return n, gens, cuts
+
+
+@SETTINGS
+@given(extension_steps())
+def test_certificate_matches_parent_rule_on_extension_steps(drawn):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n, gens, cuts = drawn
+    group, start = None, 0
+    for end in [*cuts, len(gens)]:
+        group = PermGroup(gens[start:end], degree=n, extends=group)
+        if gens[:end] and n:
+            order = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g._img)) for g in gens[:end]]).order()
+        else:
+            order = 1
+        assert_step_matches(group, gens[:start], gens[start:end], n, order)
+        assert group.order == order
+        start = end
+
+
+# -- block systems -----------------------------------------------------------------
+
+def equal_partitions(points, size):
+    """Every partition of ``points`` into cells of ``size``, each cell and
+    the list of cells ordered by least point."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for others in itertools.combinations(rest, size - 1):
+        remaining = [p for p in rest if p not in others]
+        for tail in equal_partitions(remaining, size):
+            yield [(first, *others)] + tail
+
+
+def brute_minimal_systems(gens, points):
+    """The minimal nontrivial partitions of ``points`` into equal cells that
+    every generator maps onto themselves, by block size, then cells."""
+    n = len(points)
+    invariant = []
+    for size in range(2, n):
+        if n % size:
+            continue
+        for cells in equal_partitions(list(points), size):
+            cell_of = {p: frozenset(c) for c in cells for p in c}
+            if all(frozenset(g(p) for p in c) == cell_of[g(c[0])]
+                   for g in gens for c in cells):
+                invariant.append(tuple(cells))
+
+    def refines(fine, coarse):
+        return all(any(set(f) <= set(c) for c in coarse) for f in fine)
+
+    minimal = [s for s in invariant
+               if not any(t != s and refines(t, s) for t in invariant)]
+    return sorted(minimal, key=lambda s: (len(s[0]), s))
+
+
+def reference_systems(gens, n):
+    """Per orbit of size >= 2, in orbit order, its minimal systems."""
+    orbits = classes_to_cells(bfs_classes(n, moved_pairs(gens)))
+    return [s for orbit in orbits if len(orbit) > 1
+            for s in brute_minimal_systems(gens, orbit)]
+
+
+def assert_blocks_match(group, gens, n):
+    expected = reference_systems(gens, n)
+    assert [s.blocks for s in group.minimal_block_systems()] == expected
+    if group.is_transitive:
+        assert group.is_primitive() == (not expected)
+    else:
+        with pytest.raises(NotTransitive):
+            group.is_primitive()
+
+
+@st.composite
+def transitive_groups(draw):
+    """Degree 1-7: an n-cycle through a random ordering of the points, plus
+    either random permutations or permutations preserving the blocks
+    {ordering[i] : i = j mod m}, which the n-cycle preserves too."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(1, n + 1)))
+    cycle = Permutation.from_cycles(n, [order] if n > 1 else [])
+    sizes = [d for d in range(2, n) if n % d == 0]
+    if not sizes or draw(st.booleans()):
+        extra = [Permutation(draw(st.permutations(range(1, n + 1))))
+                 for _ in range(draw(st.integers(0, 2)))]
+        return n, [cycle] + extra
+    m = n // draw(st.sampled_from(sizes))
+    blocks = [order[j::m] for j in range(m)]
+    extra = []
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.permutations(range(m)))
+        img = [0] * n
+        for j, block in enumerate(blocks):
+            shuffled = draw(st.permutations(blocks[target[j]]))
+            for p, q in zip(block, shuffled):
+                img[p - 1] = q
+        extra.append(Permutation(img))
+    return n, [cycle] + extra
+
+
+@SETTINGS
+@given(transitive_groups())
+def test_block_systems_match_brute_force_on_transitive_groups(drawn):
+    n, gens = drawn
+    group = PermGroup(gens, degree=n)
+    assert group.is_transitive
+    assert_blocks_match(group, gens, n)
+
+
+def test_block_systems_match_brute_force_on_corpus():
+    checked = 0
+    for name, g in corpus():
+        if g.n > 8:
+            continue
+        gens = [g.generator_of_label(l) for l in g.labels]
+        assert_blocks_match(PermGroup(gens, degree=g.n), gens, g.n)
+        checked += 1
+    assert checked >= 15
