@@ -7,7 +7,6 @@ from .perm_core import (
     Permutation,
     compose,
     element_order,
-    group_from_generators,
     intersection,
     parity,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "canonical_form",
     "compose",
     "element_order",
-    "group_from_generators",
     "intersection",
     "parity",
     "__version__",

@@ -250,7 +250,11 @@ def _match_name(group: PermGroup, orbit_sizes, induced_orders,
 
 
 def fingerprint(group: PermGroup) -> Fingerprint:
-    """Orbit sizes, transitivity, per-orbit primitivity, order equations.
+    """Orbit sizes, transitivity, primitivity, order equations.
+
+    ``primitive`` is decided for a transitive group only and is None for
+    every intransitive one; the only per-orbit data are the orders of the
+    actions induced on the orbits.
 
     Takes the group of a graph's sggi, e.g. ``Sggi.from_graph(g).group()``.
     A named match asserts only that the defining order equation and the

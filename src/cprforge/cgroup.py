@@ -5,7 +5,8 @@ Subscripts follow the kept-label convention: ``section(I)`` is the subgroup
 generated by the involutions whose labels lie in I.  (The literature often
 indexes by *removed* labels; convert before calling.)
 
-Two independent intersection-property checkers are provided:
+Two intersection-property checkers share one node loop; the independent
+oracle is the brute-force closure ``paper_cases.closure_tuples``:
 
 * ``check_ip_recursive`` sweeps the contiguous label intervals, using the
   fact that an sggi is a string C-group iff both maximal intervals are and
@@ -17,21 +18,18 @@ Two independent intersection-property checkers are provided:
 
 Both return an ``IpCertificate``.  A node passes exactly when |A ^ B|
 equals the order of the meet section C, which always lies in A ^ B; the
-count comes from the orbits when both sections are symmetric orbit
-products, and otherwise from the subgroup backtrack of
-``perm_core.intersection_order`` seeded with C, which never lists A ^ B.  A
-failing certificate carries the first witness permutation in the
-deterministic enumeration order of the offending intersection, found by the
-pruned search of ``perm_core.intersection_tuples``, which stops there.
+count comes from ``perm_core.intersection_order`` seeded with C, which
+never lists A ^ B.  A failing certificate carries the first witness
+permutation in the deterministic enumeration order of the offending
+intersection, found by the pruned search of
+``perm_core.intersection_tuples``, which stops there.
 ``verify_certificate`` re-checks a failing certificate on its own.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -156,6 +154,7 @@ class Sggi:
         self.involutions = {label: involutions[label] for label in window.labels()}
         self.degree = degree
         self.source = source
+        self._allow_identity = _allow_identity
         self._sections = {}
         # guards the section cache for callers sharing one Sggi across threads
         self._lock = threading.Lock()
@@ -201,7 +200,8 @@ class Sggi:
         lo, hi = self.window.lo, self.window.hi
         involutions = {lo + hi - label: inv for label, inv in self.involutions.items()}
         source = self.source.dual() if self.source is not None else None
-        return Sggi(self.window, involutions, self.degree, source=source)
+        return Sggi(self.window, involutions, self.degree, source=source,
+                    _allow_identity=self._allow_identity)
 
     # -- string property ----------------------------------------------------
 
@@ -296,26 +296,21 @@ class Sggi:
 
         Returns a passing/failing certificate for that single subset pair.
         The meet section C lies in A ^ B, so the node passes exactly when
-        |A ^ B| = |C|, and only that count is needed.  When both sections
-        are full symmetric products over their orbits, A ^ B is the
-        symmetric product over the common orbit refinement and the count is
-        a product of factorials.  Otherwise the subgroup backtrack of
-        ``perm_core.intersection_order``, seeded with C, counts it without
-        listing A ^ B.  Only a failing node searches for its witness: the
-        first element of A ^ B, in the smaller section's enumeration order,
-        that leaves C, found by the pruned search of ``intersection_tuples``
-        stopped there.  ``cap`` bounds the nodes of each of those two
-        searches; a trip names both label sets.
+        |A ^ B| = |C|, and only that count is needed:
+        ``perm_core.intersection_order``, seeded with C, gives it without
+        listing A ^ B (from the orbits alone when both sections are full
+        symmetric orbit products).  Only a failing node searches for its
+        witness: the first element of A ^ B, in the smaller section's
+        enumeration order, that leaves C, found by the pruned search of
+        ``intersection_tuples`` stopped there.  ``cap`` bounds the nodes of
+        each of those two searches; a trip names both label sets.
         """
         meet = tuple(sorted(set(left) & set(right)))
         A = self.section(left)
         B = self.section(right)
         C = self.section(meet)
         try:
-            if A.is_symmetric_orbit_product and B.is_symmetric_orbit_product:
-                actual = _sym_product_meet_order(A, B)
-            else:
-                actual = intersection_order(A, B, known=C, cap=cap)
+            actual = intersection_order(A, B, known=C, cap=cap)
             if actual == C.order:
                 return IpCertificate("pass")
             witness = next(img for img in intersection_tuples(A, B, cap)
@@ -405,7 +400,8 @@ class Sggi:
         source = None
         if self.source is not None:
             source = self.source.union_disjoint(LabeledGraph(2, [(k, 1, 2)]))
-        return Sggi(self.window, involutions, n + 2, source=source)
+        return Sggi(self.window, involutions, n + 2, source=source,
+                    _allow_identity=self._allow_identity)
 
 
 def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
@@ -418,14 +414,3 @@ def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
     return (sggi.section(cert.left).contains(witness)
             and sggi.section(cert.right).contains(witness)
             and not sggi.section(cert.meet).contains(witness))
-
-
-def _sym_product_meet_order(A: PermGroup, B: PermGroup) -> int:
-    """|A ^ B| when both are full symmetric products over their orbits.
-
-    Sym(P_1) x ... intersected with Sym(Q_1) x ... is the symmetric product
-    over the cells of the common refinement {P_i ^ Q_j}: the points sharing
-    one pair of orbit ids.
-    """
-    cells = Counter(zip(A._orbit_id, B._orbit_id))
-    return math.prod(math.factorial(size) for size in cells.values())

@@ -192,11 +192,6 @@ def _zero_edge_anchor(g: LabeledGraph, what: str) -> int:
         f"{what}: the 0-edge {{{a},{b}}} has no degree-1 endpoint to anchor at")
 
 
-def glue_rank(g: LabeledGraph) -> int:
-    """Rank of a gluing input: its labels are 0..max, so max+1."""
-    return g.window()[1] + 1
-
-
 def glue_theorem1(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
     """Glue two 0-anchored graphs into one window [-rank(g), rank(h)-1].
 

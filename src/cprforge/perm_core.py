@@ -16,11 +16,12 @@ group's orbits join the point pairs (x, g(x)) of its input generators onto
 its prefix's orbits, and its transposition components join the points of
 its transposition generators.  A group whose transposition components are
 its orbits is certified as the full product of the orbits' symmetric
-groups when it is constructed; it answers order and membership from its
-orbits and builds no chain unless it is enumerated, searched, asked for
-its kept generators or extended by a group that needs one.  Every other
-group builds its chain when it is constructed.  A ``PermGroup`` is
-immutable once constructed, apart from that one-time chain build.
+groups when it is constructed; it answers order, membership and its
+intersection order with another such group from orbits, and builds no
+chain unless it is enumerated, searched, asked for its kept generators or
+extended by a group that needs one.  Every other group builds its chain
+when it is constructed.  A ``PermGroup`` is immutable once constructed,
+apart from that one-time chain build.
 """
 
 from __future__ import annotations
@@ -841,12 +842,6 @@ class PermGroup:
             gens.append(Permutation._from_tuple(tuple(img)))
         return PermGroup(gens, degree=len(system.blocks))
 
-    def induced_action(self, domain) -> "PermGroup":
-        """Dispatch on a point set or a BlockSystem."""
-        if isinstance(domain, BlockSystem):
-            return self.induced_on_blocks(domain)
-        return self.induced_on(domain)
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self._order})"
 
@@ -854,10 +849,6 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 # module-level operations (the documented surface)
 # ---------------------------------------------------------------------------
-
-def group_from_generators(gens: Iterable[Permutation], degree: int | None = None) -> PermGroup:
-    return PermGroup(gens, degree=degree)
-
 
 def intersection_tuples(G: PermGroup, H: PermGroup,
                         cap: int = DEFAULT_INTERSECTION_CAP) -> Iterator[tuple]:
@@ -946,7 +937,12 @@ def _pruned_search(plan: tuple, depth: int, acc: tuple, residue: tuple,
 
 def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = None,
                        cap: int = DEFAULT_INTERSECTION_CAP) -> int:
-    """|G ^ H| by subgroup backtrack, without listing G ^ H.
+    """|G ^ H|, without listing G ^ H.
+
+    Two full symmetric orbit products meet in the symmetric product over
+    the cells of their common orbit refinement, the points sharing one
+    pair of orbit ids: a product of factorials, with no chain and no node.
+    Any other pair is counted by subgroup backtrack.
 
     ``known``, when given, must be a subgroup of G ^ H; it only saves work.
     Let b_0 < ... < b_m be the base points of the smaller group's chain and
@@ -972,6 +968,9 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
     with the message of ``intersection_tuples``.
     """
     small, big = _smaller_first(G, H)
+    if small._sym_product and big._sym_product:
+        cells = Counter(zip(small._orbit_id, big._orbit_id))
+        return math.prod(map(math.factorial, cells.values()))
     orders = (G.order, H.order)
     plan = _search_plan(small, big, cap, orders)
     levels, reps, ends, sift = plan[:4]

@@ -305,11 +305,3 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
         out_edges.extend((label, a + total, b + total) for label, a, b in edges)
         total += size
     return LabeledGraph(total, out_edges)
-
-
-def parse(text: str) -> LabeledGraph:
-    return LabeledGraph.parse(text)
-
-
-def serialize(g: LabeledGraph) -> str:
-    return g.serialize()

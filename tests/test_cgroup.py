@@ -64,6 +64,18 @@ def test_from_graph_rejects_label_gap_before_building(monkeypatch):
     assert padded.generator(1).is_identity() and len(calls) == 4
 
 
+def test_identity_padding_survives_dual_and_sesqui_extend():
+    s = Sggi.from_graph(LabeledGraph(4, [(0, 1, 2), (2, 3, 4)]),
+                        window=LabelWindow(0, 2), allow_identity_labels=True)
+    assert s.is_string_c_group()
+    dual = s.dual()
+    assert dual.generator(1).is_identity()
+    assert dual.dual().involutions == s.involutions
+    extended = s.sesqui_extend(0)
+    assert extended.generator(1).is_identity() and extended.degree == 6
+    assert extended.sesqui_extend(2).degree == 8
+
+
 def test_involution_validation():
     with pytest.raises(ValueError):
         make_sggi(3, {0: "(1,2,3)"})

@@ -9,15 +9,17 @@ is compared with ``listing_node_check``, the node check that counted
 """
 
 import gc
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cprforge import constructions as cons
-from cprforge.cgroup import IpCertificate, Sggi, _sym_product_meet_order
+from cprforge.cgroup import IpCertificate, Sggi
 from cprforge.errors import IntersectionTooLarge
 from cprforge.paper_cases import corpus
 from cprforge.perm_core import (
@@ -47,7 +49,9 @@ def listing_node_check(sggi, left, right, cap):
     meet = tuple(sorted(set(left) & set(right)))
     A, B, C = sggi.section(left), sggi.section(right), sggi.section(meet)
     if A.is_symmetric_orbit_product and B.is_symmetric_orbit_product:
-        if _sym_product_meet_order(A, B) == C.order:
+        # the symmetric product over the common refinement of the orbits
+        cells = Counter(zip(A._orbit_id, B._orbit_id))
+        if math.prod(math.factorial(size) for size in cells.values()) == C.order:
             return IpCertificate("pass")
     witness = None
     count = 0

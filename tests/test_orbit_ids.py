@@ -6,9 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cprforge.analysis import fingerprint
-from cprforge.cgroup import Sggi, _sym_product_meet_order
+from cprforge.cgroup import Sggi
 from cprforge.errors import DomainNotInvariant
-from cprforge.perm_core import PermGroup, Permutation, intersection_tuples
+from cprforge.perm_core import (
+    PermGroup,
+    Permutation,
+    intersection_order,
+    intersection_tuples,
+)
 from cprforge.prg import MAX_DEGREE, LabeledGraph
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -38,11 +43,14 @@ def product_pairs(draw):
 @SETTINGS
 @given(product_pairs())
 def test_sym_product_meet_order_counts_the_intersection(pair):
+    """Two symmetric products meet in a product of factorials: no chain is
+    built and no node is spent, so cap=1 cannot trip."""
     A, B = pair
     assert A.is_symmetric_orbit_product and B.is_symmetric_orbit_product
+    counts = intersection_order(A, B, cap=1), intersection_order(B, A, cap=1)
+    assert A._state is None and B._state is None
     expected = sum(1 for _ in intersection_tuples(A, B))
-    assert _sym_product_meet_order(A, B) == expected
-    assert _sym_product_meet_order(B, A) == expected
+    assert counts == (expected, expected)
 
 
 # -- induced_on ------------------------------------------------------------------
