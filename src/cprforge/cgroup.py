@@ -5,8 +5,9 @@ Subscripts follow the kept-label convention: ``section(I)`` is the subgroup
 generated by the involutions whose labels lie in I.  (The literature often
 indexes by *removed* labels; convert before calling.)
 
-Two intersection-property checkers share one node loop; the independent
-oracle is the brute-force closure ``paper_cases.closure_tuples``:
+Two intersection-property checkers feed one node loop with the sections
+A, B and C of each node; the independent oracle is the brute-force
+closure ``paper_cases.closure_tuples``:
 
 * ``check_ip_recursive`` sweeps the contiguous label intervals, using the
   fact that an sggi is a string C-group iff both maximal intervals are and
@@ -14,12 +15,14 @@ oracle is the brute-force closure ``paper_cases.closure_tuples``:
   interval after both of its sub-intervals, in one loop without recursion,
   so any rank is checked.
 * ``check_ip_full`` checks every pair of label subsets with neither side
-  containing the other.
+  containing the other, taking each section from a list indexed by label
+  mask.
 
 Both return an ``IpCertificate``.  A node passes exactly when |A ^ B|
 equals the order of the meet section C, which always lies in A ^ B; the
 count comes from ``perm_core.intersection_order`` seeded with C, which
-never lists A ^ B.  A failing certificate carries the first witness
+never lists A ^ B and decides a node of three symmetric orbit products
+by counting orbits.  A failing certificate carries the first witness
 permutation in the deterministic enumeration order of the offending
 intersection, found by the pruned search of
 ``perm_core.intersection_tuples``, which stops there.
@@ -117,6 +120,9 @@ class IpCertificate:
             "actual_order": self.actual_order,
             "witness": self.witness.cycle_string(),
         }
+
+
+_PASS = IpCertificate("pass")
 
 
 @dataclass(frozen=True)
@@ -291,28 +297,26 @@ class Sggi:
 
     # -- intersection property ----------------------------------------------
 
-    def _node_check(self, left: tuple, right: tuple, cap: int):
-        """Check <rho_left> ^ <rho_right> = <rho_(left^right)>.
+    def _node_check(self, left: tuple, right: tuple, A: PermGroup, B: PermGroup,
+                    C: PermGroup, cap: int) -> IpCertificate:
+        """Check A ^ B = C for the sections A, B, C of left, right and their meet.
 
         Returns a passing/failing certificate for that single subset pair.
         The meet section C lies in A ^ B, so the node passes exactly when
         |A ^ B| = |C|, and only that count is needed:
         ``perm_core.intersection_order``, seeded with C, gives it without
-        listing A ^ B (from the orbits alone when both sections are full
-        symmetric orbit products).  Only a failing node searches for its
-        witness: the first element of A ^ B, in the smaller section's
-        enumeration order, that leaves C, found by the pruned search of
-        ``intersection_tuples`` stopped there.  ``cap`` bounds the nodes of
-        each of those two searches; a trip names both label sets.
+        listing A ^ B (from an orbit count when all three sections are full
+        symmetric orbit products).  Only a failing node names its meet
+        labels and searches for its witness: the first element of A ^ B, in
+        the smaller section's enumeration order, that leaves C, found by the
+        pruned search of ``intersection_tuples`` stopped there.  ``cap``
+        bounds the nodes of each of those two searches; a trip names both
+        label sets.
         """
-        meet = tuple(sorted(set(left) & set(right)))
-        A = self.section(left)
-        B = self.section(right)
-        C = self.section(meet)
         try:
             actual = intersection_order(A, B, known=C, cap=cap)
             if actual == C.order:
-                return IpCertificate("pass")
+                return _PASS
             witness = next(img for img in intersection_tuples(A, B, cap)
                            if not C.contains_tuple(img))
         except IntersectionTooLarge as exc:
@@ -320,17 +324,18 @@ class Sggi:
                 f"sections for {list(left)} and {list(right)}: {exc}",
                 left=exc.left, right=exc.right) from None
         return IpCertificate("fail", left=tuple(left), right=tuple(right),
-                             meet=meet, expected_order=C.order,
-                             actual_order=actual,
+                             meet=tuple(sorted(set(left) & set(right))),
+                             expected_order=C.order, actual_order=actual,
                              witness=Permutation._from_tuple(witness))
 
-    def _first_failure(self, pairs, cap: int) -> IpCertificate:
-        """Node-check each (left, right) pair in order; the first failure."""
-        for left, right in pairs:
-            cert = self._node_check(left, right, cap)
+    def _first_failure(self, nodes, cap: int) -> IpCertificate:
+        """Node-check each (left, right, A, B, C) in order, A, B and C being
+        the sections of left, right and their meet; the first failure."""
+        for left, right, A, B, C in nodes:
+            cert = self._node_check(left, right, A, B, C, cap)
             if not cert.ok:
                 return cert
-        return IpCertificate("pass")
+        return _PASS
 
     def check_ip_recursive(self, cap: int = DEFAULT_INTERSECTION_CAP) -> IpCertificate:
         """Column sweep over contiguous label intervals.
@@ -343,9 +348,11 @@ class Sggi:
         order, hence the name.  The first failing interval is reported.
         """
         lo, hi = self.window.lo, self.window.hi
+        section = self.section
         return self._first_failure(
-            ((tuple(range(i, j)), tuple(range(i + 1, j + 1)))
-             for j in range(lo + 1, hi + 1) for i in range(j - 1, lo - 1, -1)),
+            ((left, right, section(left), section(right), section(left[1:]))
+             for j in range(lo + 1, hi + 1) for i in range(j - 1, lo - 1, -1)
+             for left, right in ((tuple(range(i, j)), tuple(range(i + 1, j + 1))),)),
             cap)
 
     def check_ip_full(self, cap: int = DEFAULT_INTERSECTION_CAP) -> IpCertificate:
@@ -353,8 +360,11 @@ class Sggi:
 
         Pairs are checked serially in canonical order: masks a < b with no
         containment, bit k selecting label lo+k.  So the reported failure is
-        the canonically first one.  Ranks above ``DEFAULT_FULL_RANK_BOUND``
-        are refused.
+        the canonically first one.  Sections are held in a list indexed by
+        mask, and slot m is filled by ``section`` the first time a node
+        needs it: each mask is looked up once, and a failure stops before
+        building the sections it never reaches.  Ranks above
+        ``DEFAULT_FULL_RANK_BOUND`` are refused.
         """
         if self.rank > DEFAULT_FULL_RANK_BOUND:
             raise RankTooLarge(
@@ -362,9 +372,17 @@ class Sggi:
         lo, total = self.window.lo, 1 << self.rank
         labels = [tuple(lo + k for k in range(self.rank) if mask >> k & 1)
                   for mask in range(total)]
+        sections = [None] * total
+
+        def section(mask: int) -> PermGroup:
+            if sections[mask] is None:
+                sections[mask] = self.section(labels[mask])
+            return sections[mask]
+
         return self._first_failure(
-            ((labels[a], labels[b]) for a in range(1, total)
-             for b in range(a + 1, total) if a & b not in (a, b)),
+            ((labels[a], labels[b], section(a), section(b), section(a & b))
+             for a in range(1, total) for b in range(a + 1, total)
+             if a & b not in (a, b)),
             cap)
 
     def is_string_c_group(self, mode: str = "recursive",

@@ -7,6 +7,7 @@ back the acceptance test module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -433,19 +434,16 @@ def case_engine_selfchecks() -> CaseResult:
                        f"set {trial}: membership disagrees for {p.cycle_string()}")
         groups.append((group, closure))
     pairs = 0
-    for i, (g1, c1) in enumerate(groups):
-        for g2, c2 in groups[i + 1:]:
-            if g1.degree != g2.degree or min(g1.order, g2.order) > 10_000:
-                continue
-            pairs += 1
-            inter = intersection(g1, g2)
-            expected = c1 & c2
-            case.check(inter.order == len(expected),
-                       f"intersection order {inter.order} != {len(expected)}")
-            case.check(set(inter.element_tuples()) == expected,
-                       "intersection element set differs from double enumeration")
-            if pairs >= 25:
-                break
+    for (g1, c1), (g2, c2) in itertools.combinations(groups, 2):
+        if g1.degree != g2.degree or min(g1.order, g2.order) > 10_000:
+            continue
+        pairs += 1
+        inter = intersection(g1, g2)
+        expected = c1 & c2
+        case.check(inter.order == len(expected),
+                   f"intersection order {inter.order} != {len(expected)}")
+        case.check(set(inter.element_tuples()) == expected,
+                   "intersection element set differs from double enumeration")
         if pairs >= 25:
             break
     case.check(pairs >= 10, f"only {pairs} intersection pairs exercised")
@@ -472,11 +470,6 @@ CASES = {
 
 
 def run_cases(case_filter: str | None = None) -> list:
-    if case_filter is not None:
-        if case_filter not in CASES:
-            raise ValueError(
-                f"unknown case {case_filter!r}; known: {', '.join(CASES)}")
-        names = [case_filter]
-    else:
-        names = list(CASES)
-    return [CASES[name]() for name in names]
+    if case_filter is not None and case_filter not in CASES:
+        raise ValueError(f"unknown case {case_filter!r}; known: {', '.join(CASES)}")
+    return [case() for name, case in CASES.items() if case_filter in (None, name)]

@@ -192,8 +192,7 @@ class Permutation:
     def apply(self, point: int) -> int:
         return self._img[point - 1] + 1
 
-    def __call__(self, point: int) -> int:
-        return self._img[point - 1] + 1
+    __call__ = apply
 
     def is_identity(self) -> bool:
         return _is_id(self._img)
@@ -251,10 +250,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def element_order(p: Permutation) -> int:
     """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-    order = 1
-    for cycle in p.cycles():
-        order = math.lcm(order, len(cycle))
-    return order
+    return math.lcm(*map(len, p.cycles()))
 
 
 def parity(p: Permutation) -> str:
@@ -318,10 +314,7 @@ class _Chain:
     # -- queries ------------------------------------------------------------
 
     def order(self) -> int:
-        n = 1
-        for layer in self.layers.values():
-            n *= len(layer.transversal)
-        return n
+        return math.prod(len(layer.transversal) for layer in self.layers.values())
 
     def sift_range(self, g: tuple, lo: int, hi: int):
         """Divide g through the levels lo..hi-1; g must fix every point below lo.
@@ -352,11 +345,7 @@ class _Chain:
     # -- construction -------------------------------------------------------
 
     def level_gens(self, p: int) -> list:
-        out = []
-        for q in sorted(self.store):
-            if q >= p:
-                out.extend(self.store[q])
-        return out
+        return [g for q in sorted(self.store) if q >= p for g in self.store[q]]
 
     def insert(self, g: tuple) -> bool:
         """Sift g in; if new, store the residue and re-close.  True if the group grew."""
@@ -401,7 +390,8 @@ class _Chain:
         """
         while True:
             for p in sorted(self.layers, reverse=True):
-                if self.layers[p].stamp != len(self.level_gens(p)):
+                if self.layers[p].stamp != sum(
+                        len(gens) for q, gens in self.store.items() if q >= p):
                     self._verify_level(p)
                     break
             else:
@@ -729,8 +719,7 @@ class PermGroup:
         return self._chain.element_tuples()
 
     def elements(self) -> Iterator[Permutation]:
-        for t in self._chain.element_tuples():
-            yield Permutation._from_tuple(t)
+        return map(Permutation._from_tuple, self._chain.element_tuples())
 
     # -- block systems ------------------------------------------------------
 
@@ -777,10 +766,7 @@ class PermGroup:
             system = self._finest_block_system_with(0, b)
             if 1 < len(system) < n:
                 candidates.append(system)
-        unique = []
-        for system in candidates:
-            if system not in unique:
-                unique.append(system)
+        unique = list(dict.fromkeys(candidates))
 
         def refines(fine: BlockSystem, coarse: BlockSystem) -> bool:
             return all(
@@ -788,8 +774,7 @@ class PermGroup:
                 for cell in fine.blocks)
 
         minimal = [
-            s for s in unique
-            if not any(o is not s and refines(o, s) and o != s for o in unique)
+            s for s in unique if not any(o != s and refines(o, s) for o in unique)
         ]
         minimal.sort(key=lambda s: (s.block_size, s.blocks))
         return minimal
@@ -942,6 +927,10 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
     Two full symmetric orbit products meet in the symmetric product over
     the cells of their common orbit refinement, the points sharing one
     pair of orbit ids: a product of factorials, with no chain and no node.
+    When ``known`` is a symmetric orbit product too, its orbits refine
+    those cells, because it lies in G ^ H; so the two orders are equal
+    exactly when the two partitions have as many classes, fixed points
+    included, and then ``known.order`` is returned without the factorials.
     Any other pair is counted by subgroup backtrack.
 
     ``known``, when given, must be a subgroup of G ^ H; it only saves work.
@@ -969,6 +958,9 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
     """
     small, big = _smaller_first(G, H)
     if small._sym_product and big._sym_product:
+        if known is not None and known._sym_product and len(
+                set(zip(small._orbit_id, big._orbit_id))) == len(known._orbits):
+            return known.order
         cells = Counter(zip(small._orbit_id, big._orbit_id))
         return math.prod(map(math.factorial, cells.values()))
     orders = (G.order, H.order)

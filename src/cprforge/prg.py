@@ -20,6 +20,7 @@ a != b.  Edges are stored and serialized sorted by (label, a, b) with a < b.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .errors import (
@@ -248,14 +249,9 @@ def _component_shape_ok(sub: LabeledGraph, comp: tuple) -> bool:
         return len(inside) in (1, 2)
     if len(comp) == 4 and len(inside) == 4:
         # alternating square: every vertex meets exactly one edge of each label
-        count = {}
-        for label, a, b in inside:
-            for v in (a, b):
-                key = (v, label)
-                count[key] = count.get(key, 0) + 1
-        return all(count.get((v, lab), 0) == 1
-                   for v in comp for lab in {e[0] for e in inside}) \
-            and len({e[0] for e in inside}) == 2
+        labels = {label for label, _, _ in inside}
+        count = Counter((v, label) for label, a, b in inside for v in (a, b))
+        return all(count[v, lab] == 1 for v in comp for lab in labels) and len(labels) == 2
     return False
 
 

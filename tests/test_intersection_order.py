@@ -100,7 +100,7 @@ def test_backtrack_counts_every_corpus_node(name, g):
         assert intersection_order(A, B, known=C) == expected, (left, right)
         assert intersection_order(A, B) == expected, (left, right)
         assert intersection_order(B, A, known=C) == expected, (left, right)
-        assert sggi._node_check(left, right, cap) == \
+        assert sggi._node_check(left, right, A, B, C, cap) == \
             listing_node_check(reference, left, right, cap), (left, right)
 
 
@@ -268,7 +268,7 @@ def test_backtrack_node_counts(name):
             intersection_order(A, B, known=known, cap=nodes - 1)
     if order == C.order:
         # a passing node runs the backtrack alone, seeded with C
-        assert sggi._node_check(tuple(left), tuple(right), with_known).ok
+        assert sggi._node_check(tuple(left), tuple(right), A, B, C, with_known).ok
 
 
 # -- no chain for a certified meet section -----------------------------------------
@@ -282,7 +282,7 @@ def test_certified_meet_section_builds_no_chain():
         if C._state is not None or (A.is_symmetric_orbit_product
                                     and B.is_symmetric_orbit_product):
             continue
-        cert = sggi._node_check(left, right, 5_000_000)
+        cert = sggi._node_check(left, right, A, B, C, 5_000_000)
         assert C._state is None, (left, right)
         assert cert == listing_node_check(Sggi.from_graph(sggi.source), left, right,
                                           5_000_000)
@@ -329,6 +329,7 @@ def test_graph_x_9_4_passing_node_is_quick():
     # the node of the interval [0..7]: its sections keep [0..6] and [1..7]
     left, right = tuple(range(0, 7)), tuple(range(1, 8))
     start = time.perf_counter()
-    cert = sggi._node_check(left, right, 5_000_000)
+    cert = sggi._node_check(left, right, sggi.section(left), sggi.section(right),
+                            sggi.section(left[1:]), 5_000_000)
     assert time.perf_counter() - start < 10
     assert cert.ok

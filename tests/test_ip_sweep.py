@@ -63,8 +63,8 @@ def spied_run(monkeypatch, sggi, method):
     calls = []
     original = Sggi._node_check
 
-    def spy(self, left, right, cap):
-        cert = original(self, left, right, cap)
+    def spy(self, left, right, A, B, C, cap):
+        cert = original(self, left, right, A, B, C, cap)
         calls.append(((left, right), cert))
         return cert
 
@@ -127,3 +127,34 @@ def test_high_rank_check_exits_2(repeated_edge_path, capsys):
     assert "FAILS at kept labels [0] vs [1]" in out
     assert "witness (1,2)" in out
     assert err == ""
+
+
+# -- full mode looks each section up once, by mask ------------------------------
+
+@pytest.mark.parametrize("g", [cons.simplex(8), cons.family_graph_x(6, 2)],
+                         ids=["simplex(8)", "graph_x(6,2)"])
+def test_full_mode_looks_up_each_mask_once(monkeypatch, g):
+    """At most 2**rank section lookups, none repeated, and only the sections
+    of the nodes checked up to the reported one: a failure stops early."""
+    sggi = Sggi.from_graph(g)
+    lookups = []
+    original = Sggi.section
+
+    def counting_section(self, labels):
+        lookups.append(tuple(labels))
+        return original(self, labels)
+
+    monkeypatch.setattr(Sggi, "section", counting_section)
+    cert = sggi.check_ip_full()
+    monkeypatch.setattr(Sggi, "section", original)
+    assert len(lookups) <= 2 ** sggi.rank
+    assert len(set(lookups)) == len(lookups)
+
+    reached = set()
+
+    def node_check(left, right):
+        reached.update((left, right, tuple(sorted(set(left) & set(right)))))
+        return cert if (left, right) == (cert.left, cert.right) else IpCertificate("pass")
+
+    assert full_model(sggi, node_check) == cert
+    assert set(lookups) == reached
