@@ -9,6 +9,7 @@ property fails, 3 string property fails, 1 I/O or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -128,7 +129,14 @@ def cmd_paper(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    ``parse_args`` reads the parser without changing it and returns a new
+    namespace each time, so no option carries over from one call to the
+    next.
+    """
     parser = argparse.ArgumentParser(
         prog="cprforge",
         description="Permutation representation graphs and string C-group checks.")

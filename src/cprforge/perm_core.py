@@ -14,19 +14,25 @@ therefore the same witnesses downstream, whenever the chain is built.
 Every partition of points comes from one union-find (``_joined``): a
 group's orbits join the point pairs (x, g(x)) of its input generators onto
 its prefix's orbits, and its transposition components join the points of
-its transposition generators.  A group whose transposition components are
-its orbits is certified as the full product of the orbits' symmetric
-groups when it is constructed; it answers order, membership and its
-intersection order with another such group from orbits, and builds no
-chain unless it is enumerated, searched, asked for its kept generators or
-extended by a group that needs one.  Every other group builds its chain
-when it is constructed.  A ``PermGroup`` is immutable once constructed,
-apart from that one-time chain build.
+its transposition generators.
+
+A group is certified as the full product of its orbits' symmetric groups
+when it is constructed, by one of two tiers: its transposition components
+are its orbits, or it moves a single orbit O of at least 8 points and
+Jordan's theorem applies (an odd generator and an element with a prime
+cycle longer than |O|/2 and at most |O| - 3; see
+``PermGroup._jordan_certified``).  A certified group answers order,
+membership and its intersection order with another such group from
+orbits, and builds no chain unless it is enumerated, searched, asked for
+its kept generators or extended by a group that needs one.  Every other
+group builds its chain when it is constructed.  A ``PermGroup`` is
+immutable once constructed, apart from that one-time chain build.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import threading
 from collections import Counter
 from itertools import compress
@@ -107,6 +113,24 @@ def _union(parent: list, x: int, y: int) -> bool:
         return False
     parent[max(rx, ry)] = min(rx, ry)
     return True
+
+
+def _cycle_lengths(p: tuple, points: list) -> list:
+    """The lengths of p's cycles through ``points``, a union of p's cycles."""
+    seen = set()
+    lengths = []
+    for x in points:
+        if x in seen:
+            continue
+        start, k = x, 0
+        while True:
+            seen.add(x)
+            x = p[x]
+            k += 1
+            if x == start:
+                break
+        lengths.append(k)
+    return lengths
 
 
 def _cells(ids: Iterable) -> tuple:
@@ -507,17 +531,22 @@ class PermGroup:
     """A permutation group with a deterministic stabilizer chain, built on demand.
 
     The constructor first takes the orbits from the union-find over the
-    input generators and the prefix's orbits, then tries a certificate.
-    Transpositions whose graph connects a point set O generate Sym(O)
-    (Wielandt, *Finite Permutation Groups*, Thm 13.3), and the transposition
-    components always refine the orbits; so when they are the orbits, the
-    group is exactly the product of the orbits' symmetric groups.  A
-    certified group takes its order and membership test from its orbits and
-    leaves its chain unbuilt; the chain is built the first time ``_chain``
-    or ``generators`` is read, by the same deterministic insertion as an
-    uncertified group, which builds its chain in the constructor.  So
-    chains, kept generators and element orders do not depend on when, or
-    whether, a group was certified.
+    input generators and the prefix's orbits, then tries two certificates,
+    cheapest first.  Transpositions whose graph connects a point set O
+    generate Sym(O) (Wielandt, *Finite Permutation Groups*, Thm 13.3), and
+    the transposition components always refine the orbits; so when they are
+    the orbits, the group is exactly the product of the orbits' symmetric
+    groups.  Failing that, a group moving one orbit O, |O| = m >= 8, is
+    Sym(O) when it has an odd generator and an element with a cycle of
+    prime length p, m/2 < p <= m - 3: such a p-cycle makes a transitive
+    group primitive, and a primitive group with a p-cycle, p <= m - 3,
+    contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified group takes
+    its order and membership test from its orbits and leaves its chain
+    unbuilt; the chain is built the first time ``_chain`` or ``generators``
+    is read, by the same deterministic insertion as an uncertified group,
+    which builds its chain in the constructor.  So chains, kept generators
+    and element orders do not depend on when, or whether, a group was
+    certified.
 
     Immutable after construction apart from that one-time build; safe for
     concurrent reads: a build runs on locals and publishes the chain and the
@@ -563,7 +592,7 @@ class PermGroup:
         self._orbit_id = ids
         self._orbits = _cells(self._orbit_id)
         sym_order = math.prod(math.factorial(len(o)) for o in self._orbits)
-        if self._tcomp == self._orbit_id:
+        if self._tcomp == self._orbit_id or self._jordan_certified():
             self._order = sym_order
             self._sym_product = True
             return
@@ -579,7 +608,7 @@ class PermGroup:
         """Block ids of the components joined by transposition generators.
 
         They always refine the orbits, and equal them exactly when the
-        transpositions connect every orbit: that is the certificate.
+        transpositions connect every orbit: that is the first certificate.
         """
         n = self.degree
         identity = tuple(range(n))
@@ -592,6 +621,53 @@ class PermGroup:
                 if tcomp[a] != tcomp[b]:
                     pairs.append((a, b))
         return _joined(tcomp, pairs)
+
+    def _jordan_certified(self) -> bool:
+        """True when the group is shown to be Sym(O) for its one moved orbit O.
+
+        Needs |O| = m >= 8, every other point fixed, an odd generator, and an
+        element with a cycle of prime length p, m/2 < p <= m - 3, among a
+        fixed product-replacement sequence.  Exact:
+
+        1. The element's other cycles are shorter than p, so their lengths
+           are coprime to p; raising it to their lcm leaves a p-cycle.
+        2. A transitive group holding a p-cycle c with p > m/2 is primitive.
+           Across a block system, c either moves some block, and then
+           permutes at least p > m/2 blocks, so the blocks are points; or it
+           fixes every block, and then its p points lie in one block of size
+           more than m/2, which is all of O.
+        3. A primitive group holding a p-cycle with p <= m - 3 contains
+           Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
+        4. An odd generator then gives Sym(O).
+
+        The sequence's indices come from a fixed seed and depend only on the
+        number of generators, so randomness decides only whether a group is
+        certified, never its order.  Renumbering the points conjugates every
+        element of the sequence, which keeps its cycle lengths, so it does
+        not change the outcome either.  Such a prime exists for every
+        m >= 8 (Ramanujan's sharpening of Bertrand's postulate).
+        """
+        moved = [o for o in self._orbits if len(o) > 1]
+        if len(moved) != 1 or len(moved[0]) < 8:
+            return False
+        orbit = [x - 1 for x in moved[0]]
+        m = len(orbit)
+        gens = [g._img for g in self._generating_set()]
+        if not any((m - len(_cycle_lengths(g, orbit))) % 2 for g in gens):
+            return False
+        primes = {p for p in range(m // 2 + 1, m - 2)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))}
+        slots = [gens[i % len(gens)] for i in range(max(10, len(gens)))]
+        acc = tuple(range(self.degree))
+        rng = random.Random(13)
+        for step in range(80):
+            i, j = rng.sample(range(len(slots)), 2)
+            slots[i] = _mul(slots[i], slots[j])
+            acc = _mul(acc, slots[i])
+            # the first 20 steps only mix
+            if step >= 20 and not primes.isdisjoint(_cycle_lengths(acc, orbit)):
+                return True
+        return False
 
     # -- the chain ----------------------------------------------------------
 
@@ -675,10 +751,9 @@ class PermGroup:
     def is_symmetric_orbit_product(self) -> bool:
         """True iff the group is the full direct product Sym(O_1) x ... x Sym(O_k).
 
-        Exact: a group certified by its transposition generators holds it
-        without a chain; any other holds it iff its chain's order equals the
-        product of orbit factorials.  Membership then reduces to an
-        orbit-preservation check.
+        Exact: a group certified at construction holds it without a chain;
+        any other holds it iff its chain's order equals the product of orbit
+        factorials.  Membership then reduces to an orbit-preservation check.
         """
         return self._sym_product
 

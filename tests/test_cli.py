@@ -6,10 +6,12 @@ import pathlib
 import jsonschema
 import pytest
 
+from cprforge import cli
 from cprforge import constructions as cons
 from cprforge import prg
 from cprforge.cgroup import Sggi
 from cprforge.cli import main
+from cprforge.perm_core import DEFAULT_INTERSECTION_CAP
 from cprforge.prg import LabeledGraph
 from cprforge.report import REPORT_SCHEMA, build_report
 
@@ -130,6 +132,24 @@ def test_check_refuses_vertex_count_over_bound(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 1:") and "exceeds the bound" in err
+
+
+def test_successive_calls_share_no_options(tmp_path, monkeypatch):
+    """One parser serves every call; a namespace never outlives its call."""
+    monkeypatch.delenv("CPRFORGE_CAP", raising=False)
+    seen = []
+
+    def recording(g, descriptor, mode, cap):
+        seen.append((mode, cap))
+        return build_report(g, descriptor, mode=mode, cap=cap)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    path = write(tmp_path, "gx.prg", cons.family_graph_x(5, 1))
+    assert main(["check", path, "--mode", "full", "--cap", "5"]) == 1
+    assert main(["check", path]) == 2
+    assert seen == [("full", 5), ("recursive", DEFAULT_INTERSECTION_CAP)]
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["--help"]) == 0
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
