@@ -115,24 +115,6 @@ def _union(parent: list, x: int, y: int) -> bool:
     return True
 
 
-def _cycle_lengths(p: tuple, points: list) -> list:
-    """The lengths of p's cycles through ``points``, a union of p's cycles."""
-    seen = set()
-    lengths = []
-    for x in points:
-        if x in seen:
-            continue
-        start, k = x, 0
-        while True:
-            seen.add(x)
-            x = p[x]
-            k += 1
-            if x == start:
-                break
-        lengths.append(k)
-    return lengths
-
-
 def _cells(ids: Iterable) -> tuple:
     """The 1-based cells of a partition given by block ids, by least point."""
     cells = {}
@@ -236,18 +218,19 @@ class Permutation:
 
     def cycles(self) -> list:
         """Nontrivial cycles, each starting at its least point, ordered by it."""
-        seen = set()
+        img = self._img
+        seen = [False] * len(img)
         out = []
-        for i in range(len(self._img)):
-            if i in seen or self._img[i] == i:
+        # a cycle's points after its least one are marked; the scan never
+        # comes back to the least one
+        for i, j in enumerate(img):
+            if seen[i] or j == i:
                 continue
             cycle = [i + 1]
-            j = self._img[i]
-            seen.add(i)
             while j != i:
-                seen.add(j)
+                seen[j] = True
                 cycle.append(j + 1)
-                j = self._img[j]
+                j = img[j]
             out.append(tuple(cycle))
         return out
 
@@ -640,24 +623,28 @@ class PermGroup:
            Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
         4. An odd generator then gives Sym(O).
 
-        The sequence's indices come from a fixed seed and depend only on the
-        number of generators, so randomness decides only whether a group is
-        certified, never its order.  Renumbering the points conjugates every
-        element of the sequence, which keeps its cycle lengths, so it does
-        not change the outcome either.  Such a prime exists for every
-        m >= 8 (Ramanujan's sharpening of Bertrand's postulate).
+        The sequence starts from the set ``_generating_set()`` returns, and
+        its indices come from a fixed seed and that set's size, so randomness
+        decides only whether a group is certified, never its order.  The set
+        holds a built prefix's kept generators in place of its inputs, so
+        whether a section is certified can depend on which prefixes were
+        built before it (the call order, or recursive against full mode);
+        its order, membership and reports do not.  For one generating set,
+        renumbering the points conjugates every element of the sequence,
+        which keeps its cycle lengths, so it does not change the outcome.
+        Such a prime exists for every m >= 8 (Ramanujan's sharpening of
+        Bertrand's postulate).
         """
         moved = [o for o in self._orbits if len(o) > 1]
         if len(moved) != 1 or len(moved[0]) < 8:
             return False
-        orbit = [x - 1 for x in moved[0]]
-        m = len(orbit)
-        gens = [g._img for g in self._generating_set()]
-        if not any((m - len(_cycle_lengths(g, orbit))) % 2 for g in gens):
+        m = len(moved[0])
+        gens = self._generating_set()
+        if not any(parity(g) == "odd" for g in gens):
             return False
         primes = {p for p in range(m // 2 + 1, m - 2)
                   if all(p % d for d in range(2, math.isqrt(p) + 1))}
-        slots = [gens[i % len(gens)] for i in range(max(10, len(gens)))]
+        slots = [gens[i % len(gens)]._img for i in range(max(10, len(gens)))]
         acc = tuple(range(self.degree))
         rng = random.Random(13)
         for step in range(80):
@@ -665,7 +652,8 @@ class PermGroup:
             slots[i] = _mul(slots[i], slots[j])
             acc = _mul(acc, slots[i])
             # the first 20 steps only mix
-            if step >= 20 and not primes.isdisjoint(_cycle_lengths(acc, orbit)):
+            if step >= 20 and not primes.isdisjoint(
+                    map(len, Permutation._from_tuple(acc).cycles())):
                 return True
         return False
 

@@ -4,8 +4,8 @@ Graph components, group orbits, the symmetric-product certificate and
 block systems all come from the one union-find in ``perm_core``.  Each
 reference model here is kept inside this file: components by breadth-first
 search, the certificate by the transposition rule it replaced plus the
-Jordan rule stated as the groups it must certify, and block systems by
-listing every partition into equal cells.
+Jordan rule stated as the groups it must certify (their order taken from
+sympy), and block systems by listing every partition into equal cells.
 """
 
 import itertools
@@ -125,19 +125,23 @@ def is_odd(g):
                for y in range(x + 1, len(img))) % 2 == 1
 
 
-def jordan_certified(gens, n, order):
+def jordan_certified(gens, n):
     """The groups the Jordan tier certifies: one orbit of at least 8 points
-    moved, every other point fixed, an odd generator, and the order of that
-    orbit's symmetric group."""
+    moved, every other point fixed, an odd generator, and sympy's order of
+    the group equal to that of the orbit's symmetric group."""
     moved = [c for c in classes_to_cells(bfs_classes(n, moved_pairs(gens)))
              if len(c) > 1]
-    return (len(moved) == 1 and len(moved[0]) >= 8 and any(map(is_odd, gens))
-            and order == math.factorial(len(moved[0])))
+    if not (len(moved) == 1 and len(moved[0]) >= 8 and any(map(is_odd, gens))):
+        return False
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    order = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g._img)) for g in gens]).order()
+    return order == math.factorial(len(moved[0]))
 
 
 def assert_step_matches(group, prefix_gens, new_gens, n, order):
     certified = (parent_certified(prefix_gens, new_gens, n)
-                 or jordan_certified(prefix_gens + new_gens, n, order))
+                 or jordan_certified(prefix_gens + new_gens, n))
     assert (group._state is None) == certified
     assert group.is_symmetric_orbit_product == (
         certified or order == sym_product_order(prefix_gens + new_gens, n))
