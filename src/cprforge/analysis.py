@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .cgroup import Sggi
 from .errors import NoFractureGraph
@@ -100,17 +101,18 @@ class SplitReport:
         }
 
 
-def _acting_labels(g: LabeledGraph, part: set, skip: int) -> tuple:
-    return tuple(sorted({lab for lab, x, y in g.edges
-                         if lab != skip and (x in part or y in part)}))
-
-
 def find_splits(g: LabeledGraph) -> list:
     """All i-splits of a graph with a fracture graph.
 
-    For each i-split the remaining orbits of the label-deleted subgroup are
-    assigned to the side their labels allow; both orientations are tried
-    and the certifying one recorded.
+    Each component of the label-deleted graph is classified once by its
+    acting labels: low (all below i, or none), high (all above i, or none),
+    or mixed (neither).  Let a and b be the components at the ends of the
+    crossing edge.  When no other component is mixed, a is low and b is
+    high, the split is perfect "low-high" and side b takes the other
+    components that are not low; "high-low" is its mirror image, with side b
+    taking the other components that are low.  Otherwise the split is
+    imperfect, and side b takes the other components whose acting labels
+    are non-empty and all above i.  Side a takes the rest.
     """
     fracture = fracture_graph(g)
     if not fracture.exists:
@@ -123,52 +125,31 @@ def find_splits(g: LabeledGraph) -> list:
         if len(comps) != len(base) + 1 or len(crossing) != 1:
             continue
         a, b = crossing[0]
-        part_a = set(comps[comp_of[a]])
-        part_b = set(comps[comp_of[b]])
-        others = [set(c) for idx, c in enumerate(comps)
-                  if idx not in (comp_of[a], comp_of[b])]
-        acting = {frozenset(c): _acting_labels(g, c, label)
-                  for c in [part_a, part_b] + others}
-
-        def orient(low_core: set, high_core: set):
-            low, high = set(low_core), set(high_core)
-            for comp in others:
-                labs = acting[frozenset(comp)]
-                if all(l < label for l in labs):
-                    low |= comp
-                elif all(l > label for l in labs):
-                    high |= comp
-                else:
-                    return None
-            j_low = _acting_labels(g, low, label)
-            j_high = _acting_labels(g, high, label)
-            if all(l < label for l in j_low) and all(l > label for l in j_high):
-                return low, high, j_low, j_high
-            return None
-
-        low_first = orient(part_a, part_b)
-        high_first = None if low_first else orient(part_b, part_a)
-        if low_first:
-            side_a, side_b, j_a, j_b = low_first
-            perfect, orientation = True, "low-high"
-        elif high_first:
-            side_b, side_a, j_b, j_a = high_first
-            perfect, orientation = True, "high-low"
+        # every edge of another label lies inside one component
+        acting = [set() for _ in comps]
+        for lab, x, _ in g.edges:
+            if lab != label:
+                acting[comp_of[x]].add(lab)
+        low = [all(l < label for l in labs) for labs in acting]
+        high = [all(l > label for l in labs) for labs in acting]
+        ca, cb = comp_of[a], comp_of[b]
+        others = [c for c in range(len(comps)) if c not in (ca, cb)]
+        settled = all(low[c] or high[c] for c in others)
+        if settled and low[ca] and high[cb]:
+            orientation, to_b = "low-high", [not low[c] for c in others]
+        elif settled and high[ca] and low[cb]:
+            orientation, to_b = "high-low", [low[c] for c in others]
         else:
-            side_a, side_b = set(part_a), set(part_b)
-            for comp in others:
-                labs = acting[frozenset(comp)]
-                if labs and min(labs) > label:
-                    side_b |= comp
-                else:
-                    side_a |= comp
-            j_a = _acting_labels(g, side_a, label)
-            j_b = _acting_labels(g, side_b, label)
-            perfect, orientation = False, None
+            orientation, to_b = None, [high[c] and not low[c] for c in others]
+        in_b = {cb, *compress(others, to_b)}
+        sides = ([c for c in range(len(comps)) if c not in in_b], sorted(in_b))
+        points = [tuple(sorted(v for c in side for v in comps[c])) for side in sides]
+        labels = [tuple(sorted(set().union(*(acting[c] for c in side))))
+                  for side in sides]
         splits.append(SplitReport(
-            label=label, crossing_edge=(a, b),
-            side_a=tuple(sorted(side_a)), side_b=tuple(sorted(side_b)),
-            j_a=j_a, j_b=j_b, perfect=perfect, orientation=orientation))
+            label=label, crossing_edge=(a, b), side_a=points[0], side_b=points[1],
+            j_a=labels[0], j_b=labels[1], perfect=orientation is not None,
+            orientation=orientation))
     return splits
 
 

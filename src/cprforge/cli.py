@@ -39,11 +39,18 @@ def _resolve_cap(args) -> int:
     return cap
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CprforgeError(f"cannot write {path}: {exc}")
+
+
 def _write_graph(g: LabeledGraph, out_path: str | None) -> None:
     text = g.serialize()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -73,9 +80,7 @@ def cmd_check(args) -> int:
     descriptor = {"path": args.path}
     report, code = build_report(g, descriptor, mode=args.mode, cap=_resolve_cap(args))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.json, json.dumps(report, indent=2) + "\n")
     window = report["window"]
     print(f"{args.path}: degree {report['degree']}, window "
           f"[{window[0]}, {window[1]}], order {report['group_order']}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ShapeViolation
-from .prg import LabeledGraph
+from .errors import ShapeViolation, VertexOutOfRange
+from .prg import MAX_DEGREE, LabeledGraph
 
 
 # ---------------------------------------------------------------------------
@@ -309,4 +309,10 @@ def build_family(spec: FamilySpec) -> LabeledGraph:
     extra = [p for p in spec.params if p not in param_names]
     if extra:
         raise ValueError(f"family {name} does not take {extra}")
+    # every family has more vertices than any of its parameters, so a larger
+    # parameter is refused before the family allocates anything
+    for p in param_names:
+        if spec.params[p] > MAX_DEGREE:
+            raise VertexOutOfRange(
+                f"family {name}: {p}={spec.params[p]} exceeds the vertex bound {MAX_DEGREE}")
     return fn(**{p: spec.params[p] for p in param_names})

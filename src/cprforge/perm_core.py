@@ -11,10 +11,12 @@ stabilizer does not move) is built on demand.  The same input generator
 list always produces the same chain, the same element enumeration order and
 therefore the same witnesses downstream, whenever the chain is built.
 
-Every partition of points comes from one union-find (``_joined``): a
-group's orbits join the point pairs (x, g(x)) of its input generators onto
-its prefix's orbits, and its transposition components join the points of
-its transposition generators.
+Every partition of points comes from one union-find (``_joined``), and a
+group's partitions come from one join loop over it (``_join_moves``): its
+orbits join the point pairs (x, g(x)) of its input generators onto its
+prefix's orbits, and its transposition components do the same for its
+transposition inputs onto its prefix's components.  Block systems are
+computed for transitive groups only.
 
 A group is certified as the full product of its orbits' symmetric groups
 when it is constructed, by one of two tiers: its transposition components
@@ -96,6 +98,20 @@ def _joined(ids: tuple, pairs: list) -> tuple:
             relabel.append(roots)
             roots += 1
     return _mul(ids, relabel)
+
+
+def _join_moves(ids: tuple, imgs: Iterable) -> tuple:
+    """The partition ``ids`` joined along each image tuple in ``imgs``.
+
+    One tuple at a time, joins the pairs (x, g(x)) that cross the blocks so
+    far; a tuple that keeps every block costs one comparison.
+    """
+    for img in imgs:
+        moved = _mul(img, ids)
+        if moved != ids:
+            ids = _joined(ids, [(x, img[x]) for x in
+                                compress(range(len(ids)), map(ne, moved, ids))])
+    return ids
 
 
 def _root(parent: list, x: int) -> int:
@@ -513,23 +529,25 @@ class BlockSystem:
 class PermGroup:
     """A permutation group with a deterministic stabilizer chain, built on demand.
 
-    The constructor first takes the orbits from the union-find over the
-    input generators and the prefix's orbits, then tries two certificates,
-    cheapest first.  Transpositions whose graph connects a point set O
-    generate Sym(O) (Wielandt, *Finite Permutation Groups*, Thm 13.3), and
-    the transposition components always refine the orbits; so when they are
-    the orbits, the group is exactly the product of the orbits' symmetric
-    groups.  Failing that, a group moving one orbit O, |O| = m >= 8, is
-    Sym(O) when it has an odd generator and an element with a cycle of
-    prime length p, m/2 < p <= m - 3: such a p-cycle makes a transitive
-    group primitive, and a primitive group with a p-cycle, p <= m - 3,
-    contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified group takes
+    The constructor first joins the input generators onto the prefix's
+    orbits, and the transposition inputs onto the prefix's transposition
+    components, by the one join loop ``_join_moves``; it then tries two
+    certificates, cheapest first.  Transpositions whose graph connects a
+    point set O generate Sym(O) (Wielandt, *Finite Permutation Groups*,
+    Thm 13.3), and the transposition components always refine the orbits;
+    so when they are the orbits, the group is exactly the product of the
+    orbits' symmetric groups.  Failing that, a group moving one orbit O,
+    |O| = m >= 8, is Sym(O) when it has an odd generator and an element
+    with a cycle of prime length p, m/2 < p <= m - 3: such a p-cycle makes
+    a transitive group primitive, and a primitive group with a p-cycle,
+    p <= m - 3, contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified group takes
     its order and membership test from its orbits and leaves its chain
     unbuilt; the chain is built the first time ``_chain`` or ``generators``
     is read, by the same deterministic insertion as an uncertified group,
     which builds its chain in the constructor.  So chains, kept generators
     and element orders do not depend on when, or whether, a group was
-    certified.
+    certified.  Block systems, and so primitivity, are asked of transitive
+    groups only; an intransitive group raises ``NotTransitive``.
 
     Immutable after construction apart from that one-time build; safe for
     concurrent reads: a build runs on locals and publishes the chain and the
@@ -563,16 +581,16 @@ class PermGroup:
         self._extends = extends
         self._new = generators
         self._state = None      # (chain, kept generators) once built
-        self._tcomp = self._transposition_components()
-        ids = tuple(range(degree)) if extends is None else extends._orbit_id
-        for g in generators:
-            # join the pairs (x, g(x)) that cross the orbits so far; an input
-            # that keeps every orbit costs one comparison
-            moved = _mul(g._img, ids)
-            if moved != ids:
-                ids = _joined(ids, [(x, g._img[x]) for x in
-                                    compress(range(degree), map(ne, moved, ids))])
-        self._orbit_id = ids
+        # the orbits, and the components the transposition inputs join: they
+        # always refine the orbits, and equal them exactly when the
+        # transpositions connect every orbit, which is the first certificate
+        identity = tuple(range(degree))
+        self._orbit_id = _join_moves(
+            identity if extends is None else extends._orbit_id,
+            (g._img for g in generators))
+        self._tcomp = _join_moves(
+            identity if extends is None else extends._tcomp,
+            (g._img for g in generators if sum(map(ne, g._img, identity)) == 2))
         self._orbits = _cells(self._orbit_id)
         sym_order = math.prod(math.factorial(len(o)) for o in self._orbits)
         if self._tcomp == self._orbit_id or self._jordan_certified():
@@ -586,24 +604,6 @@ class PermGroup:
         self._sym_product = self._order == sym_order
 
     # -- the certificate ----------------------------------------------------
-
-    def _transposition_components(self) -> tuple:
-        """Block ids of the components joined by transposition generators.
-
-        They always refine the orbits, and equal them exactly when the
-        transpositions connect every orbit: that is the first certificate.
-        """
-        n = self.degree
-        identity = tuple(range(n))
-        tcomp = identity if self._extends is None else self._extends._tcomp
-        pairs = []
-        for g in self._new:
-            img = g._img
-            if sum(map(ne, img, identity)) == 2:
-                a, b = (x for x in identity if img[x] != x)
-                if tcomp[a] != tcomp[b]:
-                    pairs.append((a, b))
-        return _joined(tcomp, pairs)
 
     def _jordan_certified(self) -> bool:
         """True when the group is shown to be Sym(O) for its one moved orbit O.
@@ -803,24 +803,14 @@ class PermGroup:
         return BlockSystem(_cells([_root(parent, x) for x in range(self.degree)]))
 
     def minimal_block_systems(self) -> list:
-        """All minimal nontrivial block systems.
+        """All minimal nontrivial block systems of a transitive group.
 
-        For a transitive group this is the standard finest-block computation
-        seeded by point pairs.  For an intransitive group the systems of the
-        induced action on each orbit are returned (each partitions only that
-        orbit's points).
+        The standard finest-block computation seeded by point pairs; an
+        intransitive group raises ``NotTransitive``.
         """
         if not self.is_transitive:
-            out = []
-            for orbit in self._orbits:
-                if len(orbit) < 2:
-                    continue
-                induced = self.induced_on(orbit)
-                back = dict(enumerate(orbit, start=1))
-                for system in induced.minimal_block_systems():
-                    out.append(BlockSystem(
-                        [[back[pt] for pt in cell] for cell in system.blocks]))
-            return out
+            raise NotTransitive(
+                f"group with orbits {self._orbits} is not transitive")
         n = self.degree
         if n < 2:
             return []
@@ -843,9 +833,6 @@ class PermGroup:
         return minimal
 
     def is_primitive(self) -> bool:
-        if not self.is_transitive:
-            raise NotTransitive(
-                f"group with orbits {self._orbits} is not transitive")
         return not self.minimal_block_systems()
 
     # -- induced actions ----------------------------------------------------
@@ -874,21 +861,6 @@ class PermGroup:
                 img[index[pt]] = index[g.apply(pt)]
             gens.append(Permutation._from_tuple(tuple(img)))
         return PermGroup(gens, degree=len(points))
-
-    def induced_on_blocks(self, system: BlockSystem) -> "PermGroup":
-        """Action on the blocks of an invariant partition, as 1..#blocks."""
-        gens = []
-        for g in self._generating_set():
-            img = [0] * len(system.blocks)
-            for idx, cell in enumerate(system.blocks):
-                target = system.block_map.get(g.apply(cell[0]))
-                if target is None or any(
-                        system.block_map.get(g.apply(pt)) != target for pt in cell):
-                    raise DomainNotInvariant(
-                        f"{g!r} does not permute the blocks {system.blocks!r}")
-                img[idx] = target - 1
-            gens.append(Permutation._from_tuple(tuple(img)))
-        return PermGroup(gens, degree=len(system.blocks))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self._order})"

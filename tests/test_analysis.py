@@ -3,9 +3,13 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cprforge import constructions as cons
 from cprforge.analysis import (
+    SplitReport,
+    _label_deleted,
     find_splits,
     fingerprint,
     fracture_graph,
@@ -90,6 +94,131 @@ def test_graph_x_splits_all_imperfect():
     assert seam.crossing_edge == (5, 6)
     # the high side carries the vertical label 2 < 3, breaking perfection
     assert 2 in seam.j_b or 2 in seam.j_a
+
+
+# The split classification as it stood before each component was classified
+# once: one orientation closure tried low-high, then high-low, then a third
+# assignment for imperfect splits.  ``find_splits`` must agree with it.
+
+def _acting_labels(g, part, skip):
+    return tuple(sorted({lab for lab, x, y in g.edges
+                         if lab != skip and (x in part or y in part)}))
+
+
+def reference_splits(g):
+    fracture = fracture_graph(g)
+    if not fracture.exists:
+        raise NoFractureGraph("no fracture graph")
+    base = g.components()
+    splits = []
+    for label, comps, comp_of, crossing in _label_deleted(g):
+        if len(comps) != len(base) + 1 or len(crossing) != 1:
+            continue
+        a, b = crossing[0]
+        part_a = set(comps[comp_of[a]])
+        part_b = set(comps[comp_of[b]])
+        others = [set(c) for idx, c in enumerate(comps)
+                  if idx not in (comp_of[a], comp_of[b])]
+        acting = {frozenset(c): _acting_labels(g, c, label)
+                  for c in [part_a, part_b] + others}
+
+        def orient(low_core, high_core):
+            low, high = set(low_core), set(high_core)
+            for comp in others:
+                labs = acting[frozenset(comp)]
+                if all(l < label for l in labs):
+                    low |= comp
+                elif all(l > label for l in labs):
+                    high |= comp
+                else:
+                    return None
+            j_low = _acting_labels(g, low, label)
+            j_high = _acting_labels(g, high, label)
+            if all(l < label for l in j_low) and all(l > label for l in j_high):
+                return low, high, j_low, j_high
+            return None
+
+        low_first = orient(part_a, part_b)
+        high_first = None if low_first else orient(part_b, part_a)
+        if low_first:
+            side_a, side_b, j_a, j_b = low_first
+            perfect, orientation = True, "low-high"
+        elif high_first:
+            side_b, side_a, j_b, j_a = high_first
+            perfect, orientation = True, "high-low"
+        else:
+            side_a, side_b = set(part_a), set(part_b)
+            for comp in others:
+                labs = acting[frozenset(comp)]
+                if labs and min(labs) > label:
+                    side_b |= comp
+                else:
+                    side_a |= comp
+            j_a = _acting_labels(g, side_a, label)
+            j_b = _acting_labels(g, side_b, label)
+            perfect, orientation = False, None
+        splits.append(SplitReport(
+            label=label, crossing_edge=(a, b),
+            side_a=tuple(sorted(side_a)), side_b=tuple(sorted(side_b)),
+            j_a=j_a, j_b=j_b, perfect=perfect, orientation=orientation))
+    return splits
+
+
+def test_splits_match_reference_on_corpus_and_duals(graph_corpus):
+    checked = 0
+    for name, g in graph_corpus:
+        for graph in (g, g.dual()):
+            if fracture_graph(graph).exists:
+                assert find_splits(graph) == reference_splits(graph), name
+                checked += 1
+    assert checked >= 20
+
+
+SPLIT_CASES = {
+    # an isolated vertex: a labelless other component, low and high at once
+    "isolated-vertex": cons.simplex(3).union_disjoint(LabeledGraph(1, [])),
+    # the crossing edge's a-side has no labels at all
+    "labelless-core": LabeledGraph(2, [(0, 1, 2)]),
+    # a high a-side and a labelless b-side: the high-low orientation
+    "high-low": LabeledGraph(3, [(1, 1, 2), (0, 2, 3)]),
+    # for label 1, the path 5-6-7 carries labels 0 and 2: a mixed component
+    "mixed-component": cons.simplex(3).union_disjoint(
+        LabeledGraph(3, [(0, 1, 2), (2, 2, 3)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_splits_match_reference_on_edge_cases(name):
+    g = SPLIT_CASES[name]
+    splits = find_splits(g)
+    assert splits == reference_splits(g)
+    orientations = {s.label: s.orientation for s in splits}
+    if name == "high-low":
+        assert orientations[0] == "high-low"
+    if name == "mixed-component":
+        assert orientations[1] is None
+
+
+@st.composite
+def split_graphs(draw):
+    """2-9 vertices, labels 0..k-1 with 2 <= k <= 5, each label a non-empty
+    matching; some vertices may stay isolated."""
+    n = draw(st.integers(2, 9))
+    edges = []
+    for label in range(draw(st.integers(2, 5))):
+        order = draw(st.permutations(range(1, n + 1)))
+        m = draw(st.integers(1, n // 2))
+        edges.extend((label, order[2 * e], order[2 * e + 1]) for e in range(m))
+    return LabeledGraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(split_graphs())
+def test_splits_match_reference_on_random_graphs(g):
+    assume(fracture_graph(g).exists)
+    assert find_splits(g) == reference_splits(g)
+    assert find_splits(g.dual()) == reference_splits(g.dual())
 
 
 def test_perfect_split_implies_primitive(graph_corpus):

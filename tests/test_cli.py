@@ -56,6 +56,36 @@ def test_gen_errors(capsys):
     assert main(["gen", "simplex", "--r", "0"]) == 1
 
 
+def test_gen_refuses_parameter_over_vertex_bound_before_building(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cons.FAMILIES, "simplex",
+                        (lambda r: calls.append(r), ("r",)))
+    assert main(["gen", "simplex", "--r", "2000"]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(prg.MAX_DEGREE) in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    a = write(tmp_path, "a.prg", cons.simplex(2))
+    for argv in (["gen", "simplex", "--r", "2", "--out", str(missing / "x.prg")],
+                 ["glue", "--method", "pendant", a, "--out", str(missing / "p.prg")],
+                 ["check", a, "--json", str(missing / "r.json")]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_json_report_bytes(tmp_path):
+    path = write(tmp_path, "gx.prg", cons.family_graph_x(5, 1))
+    out = tmp_path / "report.json"
+    assert main(["check", path, "--json", str(out)]) == 2
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 # -- check ----------------------------------------------------------------------
 
 def test_check_exit_codes(tmp_path, capsys):

@@ -227,12 +227,6 @@ def test_induced_on_component_of_result1():
     assert group.induced_on(big_orbit).order == 24
 
 
-def test_induced_on_blocks_wreathsimp():
-    group = Sggi.from_graph(cons.family_wreathsimp(3)).group()
-    system = [s for s in group.minimal_block_systems() if s.block_size == 2][0]
-    assert group.induced_on_blocks(system).order == 6
-
-
 def test_enumeration_deterministic_and_complete():
     gens = [P("(1,2)", 4), P("(2,3,4)", 4)]
     g1 = PermGroup(gens)
