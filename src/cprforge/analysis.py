@@ -114,14 +114,14 @@ def find_splits(g: LabeledGraph) -> list:
     imperfect, and side b takes the other components whose acting labels
     are non-empty and all above i.  Side a takes the rest.
     """
-    fracture = fracture_graph(g)
-    if not fracture.exists:
-        raise NoFractureGraph(
-            f"labels {list(fracture.failing_labels)} delete no orbit",
-            failing_labels=fracture.failing_labels)
     base = g.components()
+    deleted = list(_label_deleted(g))
+    failing = tuple(label for label, comps, _, _ in deleted if len(comps) <= len(base))
+    if failing:
+        raise NoFractureGraph(f"labels {list(failing)} delete no orbit",
+                              failing_labels=failing)
     splits = []
-    for label, comps, comp_of, crossing in _label_deleted(g):
+    for label, comps, comp_of, crossing in deleted:
         if len(comps) != len(base) + 1 or len(crossing) != 1:
             continue
         a, b = crossing[0]

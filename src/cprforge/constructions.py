@@ -161,6 +161,21 @@ def nonexample_simplex_union() -> LabeledGraph:
 # gluing procedures
 # ---------------------------------------------------------------------------
 
+def _zero_edge(g: LabeledGraph, what: str) -> tuple:
+    """The one 0-edge of g as (anchor, other endpoint); see ``_zero_edge_anchor``."""
+    zero_edges = g.edges_with_label(0)
+    if len(zero_edges) != 1:
+        raise ShapeViolation(
+            f"{what}: exactly one 0-edge required, found {len(zero_edges)}")
+    _, a, b = zero_edges[0]
+    if g.degree_of(a) == 1:
+        return a, b
+    if g.degree_of(b) == 1:
+        return b, a
+    raise ShapeViolation(
+        f"{what}: the 0-edge {{{a},{b}}} has no degree-1 endpoint to anchor at")
+
+
 def _zero_edge_anchor(g: LabeledGraph, what: str) -> int:
     """Validate the gluing shape of g and return the anchor vertex.
 
@@ -179,17 +194,7 @@ def _zero_edge_anchor(g: LabeledGraph, what: str) -> int:
         raise ShapeViolation(f"{what}: lowest label must be 0, found {lo}")
     if set(g.labels) != set(range(hi + 1)):
         raise ShapeViolation(f"{what}: labels must cover 0..{hi} contiguously")
-    zero_edges = g.edges_with_label(0)
-    if len(zero_edges) != 1:
-        raise ShapeViolation(
-            f"{what}: exactly one 0-edge required, found {len(zero_edges)}")
-    _, a, b = zero_edges[0]
-    if g.degree_of(a) == 1:
-        return a
-    if g.degree_of(b) == 1:
-        return b
-    raise ShapeViolation(
-        f"{what}: the 0-edge {{{a},{b}}} has no degree-1 endpoint to anchor at")
+    return _zero_edge(g, what)[0]
 
 
 def glue_theorem1(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
@@ -232,18 +237,7 @@ def conjecture_glue(g: LabeledGraph, i: int) -> LabeledGraph:
     """
     if i < 2:
         raise ShapeViolation(f"conjecture gluing needs i >= 2, got {i}")
-    zero_edges = g.edges_with_label(0)
-    if len(zero_edges) != 1:
-        raise ShapeViolation(
-            f"exactly one 0-edge required, found {len(zero_edges)}")
-    _, za, zb = zero_edges[0]
-    deg_za, deg_zb = g.degree_of(za), g.degree_of(zb)
-    if deg_za == 1:
-        path = [za, zb]
-    elif deg_zb == 1:
-        path = [zb, za]
-    else:
-        raise ShapeViolation("the 0-edge needs a degree-1 endpoint to start the path")
+    path = list(_zero_edge(g, "input"))
     adj = g.adjacency()
     for label in range(1, i + 1):
         nxt = [w for lab, w in adj[path[-1]] if lab == label]
@@ -251,9 +245,8 @@ def conjecture_glue(g: LabeledGraph, i: int) -> LabeledGraph:
             raise ShapeViolation(
                 f"no induced path edge with label {label} at vertex {path[-1]}")
         path.append(nxt[0])
-    for j, v in enumerate(path[:i], start=1):
-        expected = 1 if j == 1 else 2
-        if g.degree_of(v) != expected:
+    for v in path[1:i]:
+        if g.degree_of(v) != 2:
             raise ShapeViolation(
                 f"path vertex {v} has extra incident edges")
     path_edges = {(min(x, y), max(x, y)) for x, y in zip(path, path[1:])}

@@ -7,9 +7,11 @@ tuples.  Composition order is fixed package-wide: ``compose(p, q)`` applies
 
 A group's deterministic stabilizer chain (Schreier-Sims with the base
 fixed to the ascending point order 1..n, skipping points the relevant
-stabilizer does not move) is built on demand.  The same input generator
-list always produces the same chain, the same element enumeration order and
-therefore the same witnesses downstream, whenever the chain is built.
+stabilizer does not move) is built on demand; one depth-first walk over
+it, ``_pruned_search``, enumerates, lists intersections and searches for
+existence.  The same input generator list always produces the same chain,
+the same element enumeration order and therefore the same witnesses
+downstream, whenever the chain is built.
 
 Every partition of points comes from one union-find (``_joined``), and a
 group's partitions come from one join loop over it (``_join_moves``): its
@@ -381,9 +383,8 @@ class _Chain:
         self._close()
         return True
 
-    def _rebuild_transversal(self, p: int) -> None:
+    def _rebuild_transversal(self, p: int, gens: list) -> None:
         layer = self.layers[p]
-        gens = self.level_gens(p)
         identity = tuple(range(self.degree))
         transversal = {p: identity}
         inv_transversal = {p: identity}
@@ -428,8 +429,8 @@ class _Chain:
         """
         layer = self.layers[p]
         while True:
-            self._rebuild_transversal(p)
             gens = self.level_gens(p)
+            self._rebuild_transversal(p, gens)
             grew = False
             for pt, rep in layer.transversal.items():
                 for s in gens:
@@ -453,45 +454,16 @@ class _Chain:
                 layer.stamp = len(gens)
                 return
 
-    def ordered_transversals(self) -> tuple:
-        """(base points ascending, each level's representatives by orbit point).
-
-        This is the enumeration order, shared by ``element_tuples`` and the
-        intersection search.
-        """
-        levels = sorted(self.layers)
-        reps = [
-            [self.layers[p].transversal[pt] for pt in sorted(self.layers[p].transversal)]
-            for p in levels
-        ]
-        return levels, reps
-
     def element_tuples(self) -> Iterator[tuple]:
         """All elements, depth-first over layers in ascending base order.
 
         Within a layer the orbit points are visited ascending, so the
-        identity comes first and the whole order is reproducible.  The walk
-        keeps an explicit stack of (product so far, remaining choices).
+        identity comes first and the whole order is reproducible.  It is the
+        one walk, ``_pruned_search``, with a test that keeps every image.
         """
-        _, reps = self.ordered_transversals()
         identity = tuple(range(self.degree))
-        if not reps:
-            yield identity
-            return
-        last = reps[-1]
-        stack = [(identity, iter(reps[0]))]
-        while stack:
-            acc, choices = stack[-1]
-            if len(stack) == len(reps):
-                stack.pop()
-                for u in last:
-                    yield _mul(u, acc)
-                continue
-            for u in choices:
-                stack.append((_mul(u, acc), iter(reps[len(stack)])))
-                break
-            else:
-                stack.pop()
+        return _pruned_search(_search_plan(self, _keep, math.inf, None), 0,
+                              identity, identity, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +754,7 @@ class PermGroup:
         return self._chain.element_tuples()
 
     def elements(self) -> Iterator[Permutation]:
-        return map(Permutation._from_tuple, self._chain.element_tuples())
+        return map(Permutation._from_tuple, self.element_tuples())
 
     # -- block systems ------------------------------------------------------
 
@@ -885,12 +857,13 @@ def intersection_tuples(G: PermGroup, H: PermGroup,
     ``cap`` bounds the search nodes, one per transversal element tried at
     any depth.  The search raises ``IntersectionTooLarge`` on node cap + 1,
     after yielding everything found before it.  ``intersection_order`` runs
-    the same search below single prefixes.
+    the same walk below single prefixes, and ``element_tuples`` runs it
+    with a test that keeps every image.
     """
     small, big = _smaller_first(G, H)
+    plan = _search_plan(small._chain, big._sift_range, cap, (G.order, H.order))
     identity = tuple(range(small.degree))
-    return _pruned_search(_search_plan(small, big, cap, (G.order, H.order)), 0,
-                          identity, identity, [0])
+    return _pruned_search(plan, 0, identity, identity, [0])
 
 
 def _smaller_first(G: PermGroup, H: PermGroup) -> tuple:
@@ -899,14 +872,24 @@ def _smaller_first(G: PermGroup, H: PermGroup) -> tuple:
     return (G, H) if G.order <= H.order else (H, G)
 
 
-def _search_plan(small: PermGroup, big: PermGroup, cap: int, orders: tuple) -> tuple:
-    """What ``_pruned_search`` reads: small's levels, their representatives,
-    the end of each level's fixed points, big's membership test on a point
-    range, the cap and the two orders for its message."""
-    levels, reps = small._chain.ordered_transversals()
+def _search_plan(chain: _Chain, sift, cap: float, orders: tuple | None) -> tuple:
+    """What ``_pruned_search`` reads: the chain's levels, their
+    representatives, the end of each level's fixed points, the membership
+    test on a point range (``_keep`` to enumerate), the cap and the two
+    orders for its message.  Enumeration, listing and existence share it."""
+    levels = sorted(chain.layers)
+    reps = [
+        [chain.layers[p].transversal[pt] for pt in sorted(chain.layers[p].transversal)]
+        for p in levels
+    ]
     # depth k fixes the images of the points levels[k]..ends[k]-1
-    ends = levels[1:] + [small.degree]
-    return levels, reps, ends, big._sift_range, cap, orders
+    ends = levels[1:] + [chain.degree]
+    return levels, reps, ends, sift, cap, orders
+
+
+def _keep(img: tuple, lo: int, hi: int) -> tuple:
+    """The membership test of the whole symmetric group: every image passes."""
+    return img
 
 
 def _too_large(cap: int, orders: tuple) -> IntersectionTooLarge:
@@ -918,14 +901,16 @@ def _too_large(cap: int, orders: tuple) -> IntersectionTooLarge:
 
 def _pruned_search(plan: tuple, depth: int, acc: tuple, residue: tuple,
                    spent: list) -> Iterator[tuple]:
-    """The elements of small ^ big below one prefix, in enumeration order.
+    """The elements below one prefix that pass the plan's test, in order.
 
-    ``acc`` is the product of the choices above ``depth`` and ``residue``
-    its sift through big on every point they fix.  One node is counted in
-    ``spent[0]`` per transversal element tried, and node cap + 1 raises.
-    The count is written back before each element is yielded and at the
-    end, so a caller that stops early reads what it used.  The walk keeps
-    an explicit stack of (depth, product, residue, remaining choices).
+    The one walk over a chain: it enumerates, lists an intersection and,
+    stopped early, searches for existence.  ``acc`` is the product of the
+    choices above ``depth`` and ``residue`` its sift through the test on
+    every point they fix.  One node is counted in ``spent[0]`` per
+    transversal element tried, and node cap + 1 raises.  The count is
+    written back before each element is yielded and at the end, so a
+    caller that stops early reads what it used.  The walk keeps an explicit
+    stack of (depth, product, residue, remaining choices).
     """
     levels, reps, ends, sift, cap, orders = plan
     if depth == len(levels):
@@ -998,9 +983,8 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
             return known.order
         cells = Counter(zip(small._orbit_id, big._orbit_id))
         return math.prod(map(math.factorial, cells.values()))
-    orders = (G.order, H.order)
-    plan = _search_plan(small, big, cap, orders)
-    levels, reps, ends, sift = plan[:4]
+    plan = _search_plan(small._chain, big._sift_range, cap, (G.order, H.order))
+    levels, reps, ends, sift, _, orders = plan
     parent = list(range(small.degree))
     seeds = [] if known is None else _stabilizer_seeds(known)
     spent = [0]

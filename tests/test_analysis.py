@@ -76,6 +76,38 @@ def test_find_splits_requires_fracture_graph():
         find_splits(cons.nonexample_doubleedge())
 
 
+def test_find_splits_lists_the_label_deleted_graphs_once(monkeypatch):
+    calls = []
+    restrict = LabeledGraph.restrict_labels
+
+    def spy(self, keep):
+        calls.append(keep)
+        return restrict(self, keep)
+
+    monkeypatch.setattr(LabeledGraph, "restrict_labels", spy)
+    find_splits(cons.simplex(6))
+    assert len(calls) == 6
+
+
+def test_find_splits_names_the_fracture_graphs_failing_labels(graph_corpus):
+    graphs = [(name, graph) for name, g in graph_corpus for graph in (g, g.dual())]
+    # both labels of a doubled edge, and a label whose edges stay in one orbit
+    graphs.append(("doubled", LabeledGraph(2, [(0, 1, 2), (1, 1, 2)])))
+    graphs.append(("triangle", LabeledGraph(3, [(0, 1, 2), (1, 2, 3), (2, 1, 3)])))
+    checked = 0
+    for name, g in graphs:
+        report = fracture_graph(g)
+        if report.exists:
+            continue
+        with pytest.raises(NoFractureGraph) as info:
+            find_splits(g)
+        assert info.value.failing_labels == report.failing_labels, name
+        assert str(info.value) == (
+            f"labels {list(report.failing_labels)} delete no orbit"), name
+        checked += 1
+    assert checked >= 4
+
+
 def test_result1_split_with_disconnected_low_side():
     g = cons.family_result1(1, 2)
     splits = {s.label: s for s in find_splits(g)}

@@ -210,6 +210,28 @@ def test_conjecture_glue_shape_violations():
         cons.conjecture_glue(low, 2)
 
 
+ZERO_EDGE_VIOLATIONS = {
+    "two 0-edges": (cons.multisimplex(3, 2),
+                    "input: exactly one 0-edge required, found 2"),
+    "interior 0-edge": (cons.family_counterexample1(3, 1),
+                        "input: the 0-edge {2,3} has no degree-1 endpoint to anchor at"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_EDGE_VIOLATIONS))
+def test_gluings_share_one_zero_edge_rule(name):
+    g, text = ZERO_EDGE_VIOLATIONS[name]
+    with pytest.raises(ShapeViolation) as glued:
+        cons.glue_theorem1(cons.simplex(2), g)
+    assert str(glued.value) == "second " + text
+    with pytest.raises(ShapeViolation) as pendant:
+        cons.pendant_minus_one(g)
+    assert str(pendant.value) == text
+    with pytest.raises(ShapeViolation) as conjecture:
+        cons.conjecture_glue(g, 2)
+    assert str(conjecture.value) == text
+
+
 def test_conjecture_glue_dual_route_builds_graph_x():
     for r, h in ((5, 1), (6, 2)):
         base = cons.family_counterexample1(r, h).dual()

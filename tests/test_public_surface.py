@@ -18,13 +18,23 @@ def test_star_import_resolves_every_export():
 
 
 def test_every_private_function_has_a_caller():
-    """Each single-underscore function or method under ``src/cprforge`` is
-    named somewhere in ``src/`` outside its own ``def``."""
+    """Each private function or method under ``src/cprforge`` is named
+    somewhere in ``src/`` outside its own ``def``.  Private means a
+    single-underscore name, or any non-dunder method of a single-underscore
+    class such as ``_Chain``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs, refs = [], []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
+        tree = ast.parse(path.read_text(), str(path))
+        in_private_class = {
+            id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+            and not cls.name.startswith("__")
+            for node in cls.body if isinstance(node, functions)}
+        for node in ast.walk(tree):
+            if isinstance(node, functions):
+                if not node.name.startswith("__") and (
+                        node.name.startswith("_") or id(node) in in_private_class):
                     defs.append((node.name, path, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
                 refs.append((node.id, path, node.lineno))
