@@ -206,7 +206,7 @@ def _match_name(group: PermGroup, orbit_sizes, induced_orders,
     n = group.degree
     order = group.order
     if group.is_transitive:
-        if order == math.factorial(n):
+        if group.is_symmetric_orbit_product:
             return NamedMatch("S_n", {"n": n})
         if n % 2 == 0:
             r = n // 2
@@ -217,10 +217,9 @@ def _match_name(group: PermGroup, orbit_sizes, induced_orders,
                     s.block_size == r and len(s) == 2 for s in systems):
                 return NamedMatch("SrwrC2", {"r": r})
         return None
-    if len(orbit_sizes) == 2 and factorization_ok:
+    if len(orbit_sizes) == 2 and group.is_symmetric_orbit_product:
         a, b = orbit_sizes
-        if order == math.factorial(a) * math.factorial(b):
-            return NamedMatch("SaxSb", {"a": a, "b": b})
+        return NamedMatch("SaxSb", {"a": a, "b": b})
     if factorization_ok:
         sym_sizes = [size for size, ind in zip(orbit_sizes, induced_orders)
                      if ind == math.factorial(size)]
@@ -235,7 +234,8 @@ def fingerprint(group: PermGroup) -> Fingerprint:
 
     ``primitive`` is decided for a transitive group only and is None for
     every intransitive one; the only per-orbit data are the orders of the
-    actions induced on the orbits.
+    actions induced on the orbits, read as factorials from the orbits of a
+    symmetric orbit product, whose primitivity needs no search either.
 
     Takes the group of a graph's sggi, e.g. ``Sggi.from_graph(g).group()``.
     A named match asserts only that the defining order equation and the
@@ -246,7 +246,8 @@ def fingerprint(group: PermGroup) -> Fingerprint:
     # computed once: primitivity and the named match both read them
     systems = group.minimal_block_systems() if transitive else []
     primitive = not systems if transitive and group.degree >= 1 else None
-    induced = tuple(group.induced_on(o).order for o in group.orbits())
+    induced = (tuple(map(math.factorial, orbit_sizes)) if group.is_symmetric_orbit_product
+               else tuple(group.induced_on(o).order for o in group.orbits()))
     factorization_ok = group.order == math.prod(induced)
     match = _match_name(group, orbit_sizes, induced, factorization_ok, systems)
     return Fingerprint(

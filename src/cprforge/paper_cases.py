@@ -403,11 +403,6 @@ def closure_tuples(gens: list, degree: int) -> set:
     return seen
 
 
-def closure_set(gens: list, degree: int) -> set:
-    """``closure_tuples`` wrapped as ``Permutation`` objects."""
-    return set(map(Permutation._from_tuple, closure_tuples(gens, degree)))
-
-
 def case_engine_selfchecks() -> CaseResult:
     case = _Case("engine-selfchecks")
     rng = random.Random(SELFCHECK_SEED)

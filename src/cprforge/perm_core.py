@@ -18,7 +18,7 @@ group's partitions come from one join loop over it (``_join_moves``): its
 orbits join the point pairs (x, g(x)) of its input generators onto its
 prefix's orbits, and its transposition components do the same for its
 transposition inputs onto its prefix's components.  Block systems are
-computed for transitive groups only.
+computed for transitive groups only; a certified one is Sym(n), with none.
 
 A group is certified as the full product of its orbits' symmetric groups
 when it is constructed, by one of two tiers: its transposition components
@@ -476,10 +476,6 @@ class BlockSystem:
     def __init__(self, blocks: Iterable[Iterable[int]]):
         cells = tuple(tuple(sorted(b)) for b in blocks)
         self.blocks = tuple(sorted(cells, key=lambda c: c[0]))
-        self.block_map = {}
-        for idx, cell in enumerate(self.blocks, start=1):
-            for pt in cell:
-                self.block_map[pt] = idx
 
     @property
     def block_size(self) -> int:
@@ -512,14 +508,14 @@ class PermGroup:
     |O| = m >= 8, is Sym(O) when it has an odd generator and an element
     with a cycle of prime length p, m/2 < p <= m - 3: such a p-cycle makes
     a transitive group primitive, and a primitive group with a p-cycle,
-    p <= m - 3, contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified group takes
-    its order and membership test from its orbits and leaves its chain
-    unbuilt; the chain is built the first time ``_chain`` or ``generators``
-    is read, by the same deterministic insertion as an uncertified group,
-    which builds its chain in the constructor.  So chains, kept generators
-    and element orders do not depend on when, or whether, a group was
-    certified.  Block systems, and so primitivity, are asked of transitive
-    groups only; an intransitive group raises ``NotTransitive``.
+    p <= m - 3, contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified
+    group takes its order, membership test and block systems (none, when
+    it is transitive) from its orbits and leaves its chain unbuilt; the
+    chain is built the first time ``_chain`` or ``generators`` is read, by
+    the same deterministic insertion as an uncertified group, which builds
+    its chain in the constructor.  So chains, kept generators and element
+    orders do not depend on when, or whether, a group was certified.  Block
+    systems are asked of transitive groups only, else ``NotTransitive``.
 
     Immutable after construction apart from that one-time build; safe for
     concurrent reads: a build runs on locals and publishes the chain and the
@@ -775,34 +771,27 @@ class PermGroup:
         return BlockSystem(_cells([_root(parent, x) for x in range(self.degree)]))
 
     def minimal_block_systems(self) -> list:
-        """All minimal nontrivial block systems of a transitive group.
+        """All minimal nontrivial block systems of a transitive group, by
+        block size, then blocks; an intransitive group raises ``NotTransitive``.
 
-        The standard finest-block computation seeded by point pairs; an
-        intransitive group raises ``NotTransitive``.
+        A transitive symmetric orbit product (every group of degree < 2 is
+        one) is Sym(n): primitive, with no search.  Otherwise S_p, the finest
+        system joining points 1 and p, is listed when it is nontrivial, p is
+        1's least partner in it, and each other partner q has an S_q of as
+        many blocks, so S_q = S_p, since S_q refines S_p.  Exact: a nontrivial
+        T strictly finer than S_p joins some partner q to 1, and S_q refines T;
+        a minimal S is S_q for each partner q of 1 in S (Atkinson 1975).
         """
         if not self.is_transitive:
             raise NotTransitive(
                 f"group with orbits {self._orbits} is not transitive")
         n = self.degree
-        if n < 2:
+        if self._sym_product:
             return []
-        candidates = []
-        for b in range(1, n):
-            system = self._finest_block_system_with(0, b)
-            if 1 < len(system) < n:
-                candidates.append(system)
-        unique = list(dict.fromkeys(candidates))
-
-        def refines(fine: BlockSystem, coarse: BlockSystem) -> bool:
-            return all(
-                set(cell) <= set(coarse.blocks[coarse.block_map[cell[0]] - 1])
-                for cell in fine.blocks)
-
-        minimal = [
-            s for s in unique if not any(o != s and refines(o, s) for o in unique)
-        ]
-        minimal.sort(key=lambda s: (s.block_size, s.blocks))
-        return minimal
+        systems = {p: self._finest_block_system_with(0, p - 1) for p in range(2, n + 1)}
+        minimal = [s for p, s in systems.items() if len(s) > 1 and s.blocks[0][1] == p
+                   and all(len(systems[q]) == len(s) for q in s.blocks[0][2:])]
+        return sorted(minimal, key=lambda s: (s.block_size, s.blocks))
 
     def is_primitive(self) -> bool:
         return not self.minimal_block_systems()

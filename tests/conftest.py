@@ -13,10 +13,16 @@ test's own settings, such as ``max_examples``, still apply.
 import pytest
 from hypothesis import settings
 
-from cprforge.paper_cases import closure_set, closure_tuples, corpus as _corpus
+from cprforge.paper_cases import closure_tuples, corpus as _corpus
+from cprforge.perm_core import Permutation
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+def closure_set(gens, degree):
+    """``closure_tuples`` wrapped as ``Permutation`` objects."""
+    return set(map(Permutation._from_tuple, closure_tuples(gens, degree)))
 
 
 def closure_order(gens, degree):

@@ -410,3 +410,38 @@ def test_fingerprint_computes_block_systems_once(monkeypatch):
     assert fp.primitive is False and fp.named_match.name == "C2wrSr"
     # one finest system per partner of point 1 in the 12-point group
     assert len(calls) == 11
+
+
+def test_fingerprints_of_symmetric_orbit_products_search_nothing(monkeypatch):
+    """Primitivity, induced orders and the match of S_n or S_a x S_b come
+    from the orbits: no finest block system and no induced group."""
+    from cprforge.perm_core import PermGroup
+    graphs = ([cons.simplex(r) for r in range(2, 21)]
+              + [cons.family_graph_x(r, h) for r in range(5, 9)
+                 for h in range(1, min(r - 4, 3) + 1)]
+              + [cons.family_lemme1(r) for r in range(3, 8)])
+    groups = [group_of(g) for g in graphs]
+    calls = []
+
+    def spy(name):
+        method = getattr(PermGroup, name)
+
+        def recording(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return recording
+
+    for name in ("_finest_block_system_with", "induced_on"):
+        monkeypatch.setattr(PermGroup, name, spy(name))
+    for g, group in zip(graphs, groups):
+        assert group.is_symmetric_orbit_product
+        fp = fingerprint(group)
+        sizes = fp.orbit_sizes
+        assert fp.induced_orders == tuple(map(math.factorial, sizes))
+        if fp.transitive:
+            assert fp.primitive and fp.named_match.to_json() == {
+                "name": "S_n", "params": {"n": g.n}}
+        else:
+            assert fp.named_match.to_json() == {
+                "name": "SaxSb", "params": {"a": sizes[0], "b": sizes[1]}}
+    assert len(groups) == 33 and calls == []

@@ -313,3 +313,122 @@ def test_block_systems_match_brute_force_on_corpus():
         assert_blocks_match(PermGroup(gens, degree=g.n), gens, g.n)
         checked += 1
     assert checked >= 15
+
+
+# -- minimal systems: nested systems and the refinement-filter model ----------------
+
+def reference_minimal_block_systems(group):
+    """The minimal systems by the refinement filter the one-rule listing
+    replaced: the nontrivial finest systems through point 1, without
+    repeats, less each one that another of them refines."""
+    n = group.degree
+    if n < 2:
+        return []
+    candidates = []
+    for b in range(1, n):
+        system = group._finest_block_system_with(0, b)
+        if 1 < len(system) < n:
+            candidates.append(system)
+    unique = list(dict.fromkeys(candidates))
+
+    def refines(fine, coarse):
+        block_of = {pt: set(cell) for cell in coarse.blocks for pt in cell}
+        return all(set(cell) <= block_of[cell[0]] for cell in fine.blocks)
+
+    minimal = [s for s in unique if not any(o != s and refines(o, s) for o in unique)]
+    minimal.sort(key=lambda s: (s.block_size, s.blocks))
+    return minimal
+
+
+def rotation_and_reflection(n):
+    """The dihedral group of the regular n-gon on its vertices 1..n."""
+    return [f"({','.join(map(str, range(1, n + 1)))})",
+            "".join(f"({k},{n + 2 - k})" for k in range(2, (n + 1) // 2 + 1))]
+
+
+# Nested block systems need 1 < a < b < n with a | b | n, so degree 8 at least.
+NESTED = {
+    # the Sylow 2-subgroup of S8: pairs inside the halves {1..4}, {5..8}
+    "sylow2(S8)": (8, ["(1,2)", "(1,3)(2,4)", "(1,5)(2,6)(3,7)(4,8)"], 128,
+                   [((1, 2), (3, 4), (5, 6), (7, 8))]),
+    # antipodal pairs inside the even and odd halves
+    "dihedral(8)": (8, rotation_and_reflection(8), 16,
+                    [((1, 5), (2, 6), (3, 7), (4, 8))]),
+    # antipodal pairs and triangles, each inside coarser systems
+    "dihedral(12)": (12, rotation_and_reflection(12), 24,
+                     [tuple((k, k + 6) for k in range(1, 7)),
+                      tuple((k, k + 4, k + 8) for k in range(1, 5))]),
+    "S2wrS4": (8, ["(1,2)", "(1,3)(2,4)", "(1,3,5,7)(2,4,6,8)"], 384,
+               [((1, 2), (3, 4), (5, 6), (7, 8))]),
+    "S4wrS2": (8, ["(1,2)", "(1,2,3,4)", "(1,5)(2,6)(3,7)(4,8)"], 1152,
+               [((1, 2, 3, 4), (5, 6, 7, 8))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_nested_block_systems_match_brute_force(name):
+    n, cycles, order, minimal = NESTED[name]
+    gens = [Permutation.parse(c, n) for c in cycles]
+    group = PermGroup(gens, degree=n)
+    assert group.is_transitive and group.order == order
+    assert_blocks_match(group, gens, n)
+    assert [s.blocks for s in group.minimal_block_systems()] == minimal
+    assert group.minimal_block_systems() == reference_minimal_block_systems(group)
+
+
+def test_a_finest_system_through_point_1_need_not_be_minimal():
+    """In the Sylow 2-subgroup of S8 the finest system joining points 1
+    and 3 is the halves, which the pairs refine."""
+    n, cycles, _, _ = NESTED["sylow2(S8)"]
+    group = PermGroup([Permutation.parse(c, n) for c in cycles], degree=n)
+    assert group._finest_block_system_with(0, 2).blocks == ((1, 2, 3, 4), (5, 6, 7, 8))
+    assert group._finest_block_system_with(0, 1).blocks == (
+        (1, 2), (3, 4), (5, 6), (7, 8))
+
+
+@SETTINGS
+@given(transitive_groups())
+def test_minimal_systems_match_the_filter_model_on_transitive_groups(drawn):
+    n, gens = drawn
+    group = PermGroup(gens, degree=n)
+    assert group.minimal_block_systems() == reference_minimal_block_systems(group)
+
+
+def transitive_corpus_groups():
+    """Each transitive whole group and transitive section of order at most
+    50,000 of the corpus, with its name and kept labels."""
+    for name, g in corpus():
+        sggi = Sggi.from_graph(g)
+        labels = list(sggi.window.labels())
+        for size in range(1, len(labels) + 1):
+            for kept in itertools.combinations(labels, size):
+                group = sggi.section(kept)
+                if group.is_transitive and group.order <= 50_000:
+                    yield name, len(kept) == len(labels), group
+
+
+def test_minimal_systems_match_the_filter_model_on_corpus_sections():
+    wholes = sections = 0
+    for name, whole, group in transitive_corpus_groups():
+        assert group.minimal_block_systems() == reference_minimal_block_systems(
+            group), name
+        wholes += whole
+        sections += not whole
+    # deleting a label mostly splits an orbit: 24 whole groups, one section
+    assert wholes >= 20 and sections >= 1
+
+
+def test_fingerprint_primitivity_matches_sympy_on_corpus():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from cprforge.analysis import fingerprint
+    checked = 0
+    for name, g in corpus():
+        group = Sggi.from_graph(g).group()
+        if not group.is_transitive:
+            continue
+        gens = [combinatorics.Permutation(list(p._img)) for p in
+                Sggi.from_graph(g).generators()]
+        assert fingerprint(group).primitive == combinatorics.PermutationGroup(
+            gens).is_primitive(), name
+        checked += 1
+    assert checked >= 20
