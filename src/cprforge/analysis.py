@@ -88,18 +88,6 @@ class SplitReport:
     perfect: bool
     orientation: str | None
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "crossing_edge": list(self.crossing_edge),
-            "side_a": list(self.side_a),
-            "side_b": list(self.side_b),
-            "j_a": list(self.j_a),
-            "j_b": list(self.j_b),
-            "perfect": self.perfect,
-            "orientation": self.orientation,
-        }
-
 
 def find_splits(g: LabeledGraph) -> list:
     """All i-splits of a graph with a fracture graph.
@@ -290,17 +278,6 @@ class WitnessReport:
     @property
     def ok(self) -> bool:
         return self.in_low and self.in_high and not self.in_meet
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r, "h": self.h,
-            "sigma": self.sigma.cycle_string(),
-            "internal_pair": [self.a, self.b],
-            "in_low": self.in_low, "in_high": self.in_high, "in_meet": self.in_meet,
-            "order_low": self.order_low, "order_high": self.order_high,
-            "order_meet": self.order_meet,
-            "ok": self.ok,
-        }
 
 
 def graph_x_witness(r: int, h: int) -> Permutation:

@@ -263,11 +263,12 @@ class Sggi:
     def section(self, labels: Iterable[int]) -> PermGroup:
         """The subgroup generated by the kept labels, cached per subset.
 
-        A new section extends the cached section of its longest cached
-        prefix (its labels, ascending, minus the largest ones) by the
-        remaining involutions, or is built from scratch when no prefix is
-        cached.  Either way its chain, generators and element order are
-        those of ``PermGroup`` over its involutions in ascending label order.
+        A new section of two or more labels extends the cached section of
+        its labels minus the largest one by that label's involution, or is
+        built from scratch when that prefix is not cached.  Either way it is
+        ``PermGroup`` over its involutions in ascending label order: the same
+        chain, generators and element order, and the same answers whether or
+        not its chain was ever built.
         """
         key = frozenset(labels)
         with self._lock:
@@ -280,15 +281,13 @@ class Sggi:
                 raise KeyError(f"label {label} outside window "
                                f"[{self.window.lo}, {self.window.hi}]")
         ordered = sorted(key)
-        with self._lock:
-            prefix, start = None, 0
-            for end in range(len(ordered) - 1, 0, -1):
-                prefix = self._sections.get(frozenset(ordered[:end]))
-                if prefix is not None:
-                    start = end
-                    break
-        gens = [self.involutions[label] for label in ordered[start:]]
-        group = PermGroup(gens, degree=self.degree, extends=prefix)
+        prefix = None
+        if len(ordered) > 1:
+            with self._lock:
+                prefix = self._sections.get(frozenset(ordered[:-1]))
+        new = ordered if prefix is None else ordered[-1:]
+        group = PermGroup([self.involutions[label] for label in new],
+                          degree=self.degree, extends=prefix)
         with self._lock:
             return self._sections.setdefault(key, group)
 

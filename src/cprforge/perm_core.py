@@ -29,7 +29,9 @@ cycle longer than |O|/2 and at most |O| - 3; see
 membership and its intersection order with another such group from
 orbits, and builds no chain unless it is enumerated, searched, asked for
 its kept generators or extended by a group that needs one.  Every other
-group builds its chain when it is constructed.  A ``PermGroup`` is
+group builds its chain when it is constructed.  The chain is a cache: a
+group keeps its inputs and its prefix for life, and none of its answers
+depends on whether, or when, its chain was built.  A ``PermGroup`` is
 immutable once constructed, apart from that one-time chain build.
 """
 
@@ -566,8 +568,6 @@ class PermGroup:
             self._sym_product = True
             return
         self._build()
-        # the chain and kept generators stand in for the inputs and the prefix
-        self._new, self._extends = (), None
         self._order = self._chain.order()
         self._sym_product = self._order == sym_order
 
@@ -591,14 +591,10 @@ class PermGroup:
            Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
         4. An odd generator then gives Sym(O).
 
-        The sequence starts from the set ``_generating_set()`` returns, and
-        its indices come from a fixed seed and that set's size, so randomness
-        decides only whether a group is certified, never its order.  The set
-        holds a built prefix's kept generators in place of its inputs, so
-        whether a section is certified can depend on which prefixes were
-        built before it (the call order, or recursive against full mode);
-        its order, membership and reports do not.  For one generating set,
-        renumbering the points conjugates every element of the sequence,
+        The sequence starts from the inputs, ``_generating_set()``, and its
+        indices come from a fixed seed and their number, so randomness
+        decides only whether a group is certified, never its order.
+        Renumbering the points conjugates every element of the sequence,
         which keeps its cycle lengths, so it does not change the outcome.
         Such a prime exists for every m >= 8 (Ramanujan's sharpening of
         Bertrand's postulate).
@@ -636,7 +632,7 @@ class PermGroup:
         """The input generators that grew the chain, in input order.
 
         Reading them builds the chain of a certified group; readers that
-        need only some generating set use ``_generating_set``.
+        need only a generating set use the inputs, ``_generating_set``.
         """
         return (self._state or self._build())[1]
 
@@ -671,22 +667,17 @@ class PermGroup:
             return self._state
 
     def _generating_set(self) -> list:
-        """Generators of this group that need no chain.
+        """The inputs along the ``extends`` links, in input order; no chain.
 
-        The kept generators of the nearest built group on the ``extends``
-        links, followed by the inputs after it.  Inputs that did not grow a
-        chain lie in the group generated before them, so for orbits, block
-        systems and induced actions this set gives the same results as
-        ``generators``; an induced group built from it even has the same
-        chain and kept generators.
+        Inputs that did not grow the chain lie in the group generated before
+        them, so orbits, block systems and induced groups (chains and kept
+        generators included) are those of ``generators``.
         """
         parts = []
         group = self
-        while group is not None and group._state is None:
+        while group is not None:
             parts.append(group._new)
             group = group._extends
-        if group is not None:
-            parts.append(group._state[1])
         return [g for part in reversed(parts) for g in part]
 
     # -- structure ----------------------------------------------------------
@@ -754,10 +745,10 @@ class PermGroup:
 
     # -- block systems ------------------------------------------------------
 
-    def _finest_block_system_with(self, a: int, b: int) -> BlockSystem:
-        """Finest invariant partition placing 0-based points a and b together."""
+    def _finest_block_system_with(self, gen_imgs: list, a: int, b: int) -> BlockSystem:
+        """Finest partition invariant under the image tuples ``gen_imgs`` that
+        places 0-based points a and b together."""
         parent = list(range(self.degree))
-        gen_imgs = [g._img for g in self._generating_set()]
         queue = [(a, b)]
         _union(parent, a, b)
         head = 0
@@ -788,7 +779,9 @@ class PermGroup:
         n = self.degree
         if self._sym_product:
             return []
-        systems = {p: self._finest_block_system_with(0, p - 1) for p in range(2, n + 1)}
+        gen_imgs = [g._img for g in self._generating_set()]
+        systems = {p: self._finest_block_system_with(gen_imgs, 0, p - 1)
+                   for p in range(2, n + 1)}
         minimal = [s for p, s in systems.items() if len(s) > 1 and s.blocks[0][1] == p
                    and all(len(systems[q]) == len(s) for q in s.blocks[0][2:])]
         return sorted(minimal, key=lambda s: (s.block_size, s.blocks))

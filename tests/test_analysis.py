@@ -401,9 +401,9 @@ def test_fingerprint_computes_block_systems_once(monkeypatch):
     calls = []
     finest = PermGroup._finest_block_system_with
 
-    def counting(self, a, b):
+    def counting(self, gen_imgs, a, b):
         calls.append((a, b))
-        return finest(self, a, b)
+        return finest(self, gen_imgs, a, b)
 
     monkeypatch.setattr(PermGroup, "_finest_block_system_with", counting)
     fp = fingerprint(group_of(cons.family_wreathsimp(6)))

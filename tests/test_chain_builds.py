@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cprforge import constructions as cons
 from cprforge import perm_core
 from cprforge.cgroup import Sggi
+from cprforge.paper_cases import corpus
 from cprforge.perm_core import PermGroup, Permutation, intersection
 from cprforge.report import build_report
 
@@ -117,22 +118,34 @@ def chain_state(group):
     return chain.degree, store, layers, group.generators
 
 
-def assert_sections_match_scratch(sggi, subsets, monkeypatch):
+def record_extensions(monkeypatch):
+    """Spy on ``PermGroup``: the number of inputs of each construction that
+    extends another group, in construction order."""
     extended = []
     build = PermGroup.__init__
 
     def recording(self, generators, degree=None, *, extends=None):
-        extended.append(extends is not None)
+        generators = tuple(generators)
+        if extends is not None:
+            extended.append(len(generators))
         build(self, generators, degree=degree, extends=extends)
 
     monkeypatch.setattr(PermGroup, "__init__", recording)
-    sections = [sggi.section(kept) for kept in subsets]
-    monkeypatch.setattr(PermGroup, "__init__", build)
+    return extended
+
+
+def assert_sections_match_scratch(sggi, subsets, monkeypatch):
+    """Every section equals its chain built from scratch; returns how many
+    sections extended a cached prefix, each by exactly one involution."""
+    with monkeypatch.context() as spy:
+        extended = record_extensions(spy)
+        sections = [sggi.section(kept) for kept in subsets]
     for kept, group in zip(subsets, sections):
         scratch = PermGroup([sggi.generator(l) for l in sorted(kept)],
                             degree=sggi.degree)
         assert chain_state(group) == chain_state(scratch), kept
-    return extended
+    assert set(extended) <= {1}
+    return len(extended)
 
 
 EXTENSION_GRAPHS = {name: build for name, (build, _) in SECTION_DIGESTS.items()}
@@ -148,12 +161,21 @@ def test_extended_sections_equal_scratch_chains(name, monkeypatch):
     # ascending size: every section of two or more labels extends its
     # cached prefix minus the largest label
     extended = assert_sections_match_scratch(Sggi.from_graph(g), subsets, monkeypatch)
-    assert sum(extended) == sum(1 for kept in subsets if len(kept) >= 2)
-    # shuffled: longer gaps to the longest cached prefix, and none at all
+    assert extended == sum(1 for kept in subsets if len(kept) >= 2)
+    # shuffled: the prefix minus the largest label is cached for some
+    # sections and not for others, which are built from scratch
     shuffled = subsets[:]
     random.Random(0).shuffle(shuffled)
     extended = assert_sections_match_scratch(Sggi.from_graph(g), shuffled, monkeypatch)
-    assert 0 < sum(extended) < len(shuffled)
+    assert 0 < extended < len(shuffled)
+
+
+@pytest.mark.parametrize("mode", ["recursive", "full"])
+def test_reports_extend_sections_one_label_at_a_time(mode, monkeypatch):
+    extended = record_extensions(monkeypatch)
+    for name, g in corpus():
+        build_report(g, {"path": name}, mode=mode)
+    assert extended and set(extended) == {1}
 
 
 @st.composite

@@ -113,6 +113,40 @@ def test_corpus_sections_match_eager():
     assert seen_certified >= 250
 
 
+def test_generating_set_is_the_inputs_before_and_after_the_chain():
+    sggi = Sggi.from_graph(LabeledGraph(3, [(0, 1, 2), (1, 2, 3), (2, 1, 3)]))
+    group = sggi.section([0, 1, 2])
+    assert certified(group)
+    assert group._generating_set() == sggi.generators()
+    assert len(group.generators) == 2
+    assert group._generating_set() == sggi.generators()
+    # label 2 repeats label 0, so the section builds its chain when constructed
+    sggi = Sggi.from_graph(LabeledGraph(5, [(0, 1, 2), (0, 3, 4), (1, 2, 3),
+                                            (1, 4, 5), (2, 1, 2), (2, 3, 4)]))
+    assert sggi.generator(2) == sggi.generator(0)
+    group = sggi.section([0, 1, 2])
+    assert not certified(group)
+    assert group._generating_set() == sggi.generators()
+
+
+def test_corpus_generating_sets_are_the_involutions():
+    """Whichever sections were built, or extended, before."""
+    rng = random.Random(0)
+    for name, g in corpus():
+        sggi = Sggi.from_graph(g)
+        labels = list(sggi.window.labels())
+        subsets = [kept for size in range(len(labels) + 1)
+                   for kept in itertools.combinations(labels, size)]
+        rng.shuffle(subsets)
+        for kept in subsets:
+            group = sggi.section(kept)
+            involutions = [sggi.generator(l) for l in kept]
+            assert group._generating_set() == involutions, (name, kept)
+            if rng.random() < 0.5:
+                group.generators
+                assert group._generating_set() == involutions, (name, kept)
+
+
 @st.composite
 def transposition_lists(draw):
     """Degree 1-9, 0-7 generators, each a transposition or (from degree 4)
