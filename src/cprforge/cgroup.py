@@ -142,14 +142,15 @@ class CprVerdict:
 
 
 class Sggi:
-    """An ordered family of involutions indexed by a contiguous label window."""
+    """One involution per label of a contiguous window, and their degree.
 
-    def __init__(self, window: LabelWindow, involutions: dict,
-                 degree: int, source: LabeledGraph | None = None,
-                 _allow_identity: bool = False):
+    ``from_graph`` derives it over the window that a graph's labels span.
+    """
+
+    def __init__(self, window: LabelWindow, involutions: dict, degree: int):
         for label in window.labels():
             inv = involutions.get(label)
-            if inv is None or (inv.is_identity() and not _allow_identity):
+            if inv is None or inv.is_identity():
                 raise IdentityGenerator(
                     f"label {label} has no edges (identity is not an involution)")
             if not compose(inv, inv).is_identity():
@@ -159,8 +160,6 @@ class Sggi:
         self.window = window
         self.involutions = {label: involutions[label] for label in window.labels()}
         self.degree = degree
-        self.source = source
-        self._allow_identity = _allow_identity
         self._sections = {}
         # guards the section cache for callers sharing one Sggi across threads
         self._lock = threading.Lock()
@@ -168,28 +167,23 @@ class Sggi:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, g: LabeledGraph, window: LabelWindow | None = None,
-                   allow_identity_labels: bool = False) -> "Sggi":
-        """Derive the sggi of a graph; every window label needs >= 1 edge.
+    def from_graph(cls, g: LabeledGraph) -> "Sggi":
+        """Derive the sggi of a graph over the window its labels span.
 
-        The default window spans the labels present in the graph.  A window
-        label without edges raises ``IdentityGenerator``, before any
-        generator is built, unless identity padding is explicitly opted into.
+        Every label of that window needs at least one edge: a label without
+        edges raises ``IdentityGenerator`` before any generator is built.
         """
-        if window is None:
-            w = g.window()
-            if w is None:
-                raise IdentityGenerator("graph has no edges, no window to derive")
-            window = LabelWindow(*w)
-        if not allow_identity_labels:
-            present = set(g.labels)
-            for label in window.labels():
-                if label not in present:
-                    raise IdentityGenerator(
-                        f"label {label} has no edges (identity is not an involution)")
+        w = g.window()
+        if w is None:
+            raise IdentityGenerator("graph has no edges, no window to derive")
+        window = LabelWindow(*w)
+        present = set(g.labels)
+        for label in window.labels():
+            if label not in present:
+                raise IdentityGenerator(
+                    f"label {label} has no edges (identity is not an involution)")
         involutions = {label: g.generator_of_label(label) for label in window.labels()}
-        return cls(window, involutions, g.n, source=g,
-                   _allow_identity=allow_identity_labels)
+        return cls(window, involutions, g.n)
 
     @property
     def rank(self) -> int:
@@ -205,9 +199,7 @@ class Sggi:
         """The same involutions in reversed label order."""
         lo, hi = self.window.lo, self.window.hi
         involutions = {lo + hi - label: inv for label, inv in self.involutions.items()}
-        source = self.source.dual() if self.source is not None else None
-        return Sggi(self.window, involutions, self.degree, source=source,
-                    _allow_identity=self._allow_identity)
+        return Sggi(self.window, involutions, self.degree)
 
     # -- string property ----------------------------------------------------
 
@@ -414,11 +406,7 @@ class Sggi:
         for label, inv in self.involutions.items():
             extended = Permutation(tuple(inv.images) + (n + 1, n + 2))
             involutions[label] = compose(extended, tau) if label == k else extended
-        source = None
-        if self.source is not None:
-            source = self.source.union_disjoint(LabeledGraph(2, [(k, 1, 2)]))
-        return Sggi(self.window, involutions, n + 2, source=source,
-                    _allow_identity=self._allow_identity)
+        return Sggi(self.window, involutions, n + 2)
 
 
 def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:

@@ -25,23 +25,19 @@ SELFCHECK_SEED = 0x5C9C
 
 @dataclass
 class CaseResult:
+    """A case's name, whether every check held, and its report lines."""
+
     name: str
-    ok: bool
+    ok: bool = True
     lines: list = field(default_factory=list)
 
-
-class _Case:
-    def __init__(self, name: str):
-        self.result = CaseResult(name, True)
-
-    def check(self, ok: bool, what: str) -> bool:
+    def check(self, ok: bool, what: str) -> None:
         if not ok:
-            self.result.ok = False
-            self.result.lines.append(f"FAIL {what}")
-        return ok
+            self.ok = False
+            self.lines.append(f"FAIL {what}")
 
     def note(self, what: str) -> None:
-        self.result.lines.append(what)
+        self.lines.append(what)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +89,7 @@ def case_theorem1_simplex_grid() -> CaseResult:
     (see the nonexample analyses), so the dual is the eligible
     representative of that family.
     """
-    case = _Case("theorem1-simplex-grid")
+    case = CaseResult("theorem1-simplex-grid")
     inputs = [(f"simplex({r})", cons.simplex(r)) for r in range(1, 5)]
     inputs += [(f"dual(counterexample1({r},1))",
                 cons.family_counterexample1(r, 1).dual()) for r in (3, 4)]
@@ -108,7 +104,7 @@ def case_theorem1_simplex_grid() -> CaseResult:
                 case.check(sggi.group().order == math.factorial(out.n),
                            f"glue({name_g}, {name_h}) order != {out.n}!")
     case.note(f"{len(inputs) ** 2} glued pairs verified")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +112,7 @@ def case_theorem1_simplex_grid() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_graph_x_refutation() -> CaseResult:
-    case = _Case("graph-x-refutation")
+    case = CaseResult("graph-x-refutation")
     for r, h in ((5, 1), (6, 1), (6, 2)):
         g = cons.family_graph_x(r, h)
         sggi = Sggi.from_graph(g)
@@ -140,7 +136,7 @@ def case_graph_x_refutation() -> CaseResult:
         case.note(f"graph_x({r},{h}): order {math.factorial(2 * r - 1)}, "
                   f"witness {witness.sigma.cycle_string()}, section orders "
                   f"{witness.order_low}/{witness.order_high}/{witness.order_meet}")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def case_graph_x_refutation() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_section3_nonexamples() -> CaseResult:
-    case = _Case("section3-nonexamples")
+    case = CaseResult("section3-nonexamples")
     double = cons.nonexample_doubleedge()
     seven = cons.nonexample_sevenvertex()
     case.check(not _is_cpr(double), "double-edge non-example passes the IP")
@@ -160,7 +156,7 @@ def case_section3_nonexamples() -> CaseResult:
     case.check(sggi.section({0}).order == 2,
                f"|kept(0)| = {sggi.section({0}).order}, want 2")
     case.note("pendant non-examples fail the IP; orders 4 vs 2 confirmed")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def case_section3_nonexamples() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_family_orders() -> CaseResult:
-    case = _Case("family-orders")
+    case = CaseResult("family-orders")
     instances = []
     for r in range(1, 7):
         instances.append((f"simplex({r})", cons.simplex(r), math.factorial(r + 1), True))
@@ -209,7 +205,7 @@ def case_family_orders() -> CaseResult:
                    f"{name}: string C-group verdict {verdict.is_string_c_group}, "
                    f"want {expect_cpr}")
     case.note(f"{len(instances)} family instances verified")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def case_family_orders() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_speccase_generators() -> CaseResult:
-    case = _Case("speccase-generators")
+    case = CaseResult("speccase-generators")
     sggi = Sggi.from_graph(cons.family_speccase(3))
     expected = {
         0: Permutation.parse("(1,2)(5,6)", 6),
@@ -230,7 +226,7 @@ def case_speccase_generators() -> CaseResult:
                    f"speccase(3) label {label}: {got.cycle_string()} "
                    f"!= {want.cycle_string()}")
     case.note("speccase(3) involutions match the explicit set verbatim")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def case_speccase_generators() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_oracle_equivalence() -> CaseResult:
-    case = _Case("oracle-equivalence")
+    case = CaseResult("oracle-equivalence")
     eligible = [(name, g) for name, g in corpus()
                 if g.n <= 10 and len(g.labels) <= 7]
     case.check(len(eligible) >= 25,
@@ -254,7 +250,7 @@ def case_oracle_equivalence() -> CaseResult:
             failures += 1
     case.check(failures >= 4, f"only {failures} failing instances exercised")
     case.note(f"{len(eligible)} instances compared, {failures} of them IP failures")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +258,7 @@ def case_oracle_equivalence() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_duality_suite() -> CaseResult:
-    case = _Case("duality-suite")
+    case = CaseResult("duality-suite")
     graphs = corpus()
     for name, g in graphs:
         case.check(g.dual().dual() == g, f"{name}: dual of dual differs")
@@ -282,7 +278,7 @@ def case_duality_suite() -> CaseResult:
             f"graph_x({r},{h}) differs from the dual-glue-dual construction")
     case.note(f"{len(graphs)} corpus graphs dual-checked; "
               "structural identity holds for all three refutation instances")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def _seam_shape_labels(g: LabeledGraph) -> list:
 
 
 def case_splits_primitivity() -> CaseResult:
-    case = _Case("splits-primitivity")
+    case = CaseResult("splits-primitivity")
     shaped = 0
     skipped = []
     for name, g in corpus():
@@ -367,7 +363,7 @@ def case_splits_primitivity() -> CaseResult:
     if skipped:
         case.note(f"skipped (no fracture graph, splits undefined): "
                   f"{', '.join(skipped)}")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +401,7 @@ def closure_tuples(gens: list, degree: int) -> set:
 
 
 def case_engine_selfchecks() -> CaseResult:
-    case = _Case("engine-selfchecks")
+    case = CaseResult("engine-selfchecks")
     rng = random.Random(SELFCHECK_SEED)
     groups = []
     for trial in range(50):
@@ -445,7 +441,7 @@ def case_engine_selfchecks() -> CaseResult:
     case.check(pairs >= 10, f"only {pairs} intersection pairs exercised")
     case.note(f"50 random generator sets verified against closure; "
               f"{pairs} intersections double-enumerated")
-    return case.result
+    return case
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ A group is certified as the full product of its orbits' symmetric groups
 when it is constructed, by one of two tiers: its transposition components
 are its orbits, or it moves a single orbit O of at least 8 points and
 Jordan's theorem applies (an odd generator and an element with a prime
-cycle longer than |O|/2 and at most |O| - 3; see
-``PermGroup._jordan_certified``).  A certified group answers order,
+cycle longer than |O|/2 and at most |O| - 3).  ``PermGroup._certified``
+makes that one decision.  A certified group answers order,
 membership and its intersection order with another such group from
 orbits, and builds no chain unless it is enumerated, searched, asked for
 its kept generators or extended by a group that needs one.  Every other
@@ -553,7 +553,7 @@ class PermGroup:
         self._state = None      # (chain, kept generators) once built
         # the orbits, and the components the transposition inputs join: they
         # always refine the orbits, and equal them exactly when the
-        # transpositions connect every orbit, which is the first certificate
+        # transpositions connect every orbit
         identity = tuple(range(degree))
         self._orbit_id = _join_moves(
             identity if extends is None else extends._orbit_id,
@@ -563,7 +563,7 @@ class PermGroup:
             (g._img for g in generators if sum(map(ne, g._img, identity)) == 2))
         self._orbits = _cells(self._orbit_id)
         sym_order = math.prod(math.factorial(len(o)) for o in self._orbits)
-        if self._tcomp == self._orbit_id or self._jordan_certified():
+        if self._certified():
             self._order = sym_order
             self._sym_product = True
             return
@@ -573,12 +573,15 @@ class PermGroup:
 
     # -- the certificate ----------------------------------------------------
 
-    def _jordan_certified(self) -> bool:
-        """True when the group is shown to be Sym(O) for its one moved orbit O.
+    def _certified(self) -> bool:
+        """True when the group is shown to be the product of its orbits'
+        symmetric groups, by the first tier that applies.
 
-        Needs |O| = m >= 8, every other point fixed, an odd generator, and an
-        element with a cycle of prime length p, m/2 < p <= m - 3, among a
-        fixed product-replacement sequence.  Exact:
+        The transposition tier: the transposition components are the orbits.
+        The Jordan tier, for a group moving one orbit O: |O| = m >= 8, an odd
+        generator, and an element with a cycle of prime length p,
+        m/2 < p <= m - 3, among a fixed product-replacement sequence.  The
+        Jordan tier is exact:
 
         1. The element's other cycles are shorter than p, so their lengths
            are coprime to p; raising it to their lcm leaves a p-cycle.
@@ -599,6 +602,8 @@ class PermGroup:
         Such a prime exists for every m >= 8 (Ramanujan's sharpening of
         Bertrand's postulate).
         """
+        if self._tcomp == self._orbit_id:
+            return True
         moved = [o for o in self._orbits if len(o) > 1]
         if len(moved) != 1 or len(moved[0]) < 8:
             return False

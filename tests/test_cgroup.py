@@ -39,15 +39,6 @@ def test_from_graph_glued_window():
     assert all(out.edges_with_label(l) for l in s.window.labels())
 
 
-def test_from_graph_rejects_edgeless_window_label():
-    g = cons.simplex(2)
-    with pytest.raises(IdentityGenerator):
-        Sggi.from_graph(g, window=LabelWindow(0, 3))
-    # explicit opt-in pads with identities
-    s = Sggi.from_graph(g, window=LabelWindow(0, 3), allow_identity_labels=True)
-    assert s.generator(3).is_identity()
-
-
 def test_from_graph_rejects_label_gap_before_building(monkeypatch):
     # a wide gap must not cost one generator per missing label
     g = LabeledGraph(3, [(0, 1, 2), (1000, 2, 3)])
@@ -58,27 +49,17 @@ def test_from_graph_rejects_label_gap_before_building(monkeypatch):
     with pytest.raises(IdentityGenerator, match="label 1 has no edges"):
         Sggi.from_graph(g)
     assert calls == []
-    # explicit opt-in still pads with identities
-    padded = Sggi.from_graph(LabeledGraph(3, [(0, 1, 2), (3, 2, 3)]),
-                             allow_identity_labels=True)
-    assert padded.generator(1).is_identity() and len(calls) == 4
-
-
-def test_identity_padding_survives_dual_and_sesqui_extend():
-    s = Sggi.from_graph(LabeledGraph(4, [(0, 1, 2), (2, 3, 4)]),
-                        window=LabelWindow(0, 2), allow_identity_labels=True)
-    assert s.is_string_c_group()
-    dual = s.dual()
-    assert dual.generator(1).is_identity()
-    assert dual.dual().involutions == s.involutions
-    extended = s.sesqui_extend(0)
-    assert extended.generator(1).is_identity() and extended.degree == 6
-    assert extended.sesqui_extend(2).degree == 8
 
 
 def test_involution_validation():
     with pytest.raises(ValueError):
         make_sggi(3, {0: "(1,2,3)"})
+    # an identity involution and a missing label are refused from any caller
+    with pytest.raises(IdentityGenerator):
+        Sggi(LabelWindow(0, 1), {0: Permutation.parse("(1,2)", 3),
+                                 1: Permutation.identity(3)}, 3)
+    with pytest.raises(IdentityGenerator):
+        Sggi(LabelWindow(0, 1), {0: Permutation.parse("(1,2)", 3)}, 3)
 
 
 # -- string property -------------------------------------------------------------
@@ -289,7 +270,11 @@ def test_sesqui_at_extreme_labels_preserves_string_c_group(graph_corpus):
 def test_sesqui_graph_realization():
     s = sggi_of(cons.simplex(2))
     ext = s.sesqui_extend(1)
-    assert ext.source == cons.simplex(2).union_disjoint(LabeledGraph(2, [(1, 1, 2)]))
+    g = cons.simplex(2).union_disjoint(LabeledGraph(2, [(1, 1, 2)]))
+    assert ext.involutions == sggi_of(g).involutions
+    assert ext.degree == sggi_of(g).degree
+    # an sggi with no graph has the dual of the graph it would come from
+    assert ext.dual().involutions == sggi_of(g.dual()).involutions
 
 
 def test_sesqui_outside_window():

@@ -55,21 +55,42 @@ def test_intersection_builds_one_chain(monkeypatch):
     assert inter.order == 4
 
 
+def count_grows(monkeypatch):
+    """Spy on ``PermGroup._grow``: a list that gains one entry per chain
+    built or extended."""
+    grown = []
+    grow = PermGroup._grow
+
+    def counting(self, prefix_state):
+        grown.append(self)
+        return grow(self, prefix_state)
+
+    monkeypatch.setattr(PermGroup, "_grow", counting)
+    return grown
+
+
 def test_report_builds_no_chain_twice(monkeypatch):
+    g = cons.simplex(5)
+    with monkeypatch.context() as spy:
+        plain = count_grows(spy)
+        build_report(g, {"path": "simplex(5)"})
     seen = []
     build = PermGroup.__init__
 
     def recording(self, generators, degree=None, *, extends=None):
-        # key each build by the whole generator list its chain represents
+        # key each construction by the whole input list it represents; the
+        # prefix's inputs build no chain, so the spy leaves the run as it is
         gens = tuple(generators)
-        full = (extends.generators if extends is not None else ()) + gens
+        full = tuple(extends._generating_set() if extends is not None else ()) + gens
         seen.append((degree or full[0].degree, tuple(g.images for g in full)))
         build(self, gens, degree=degree, extends=extends)
 
+    grown = count_grows(monkeypatch)
     monkeypatch.setattr(PermGroup, "__init__", recording)
-    build_report(cons.simplex(5), {"path": "simplex(5)"})
+    build_report(g, {"path": "simplex(5)"})
     assert seen
     assert len(seen) == len(set(seen))
+    assert len(grown) == len(plain) == 0
 
 
 def test_generators_are_those_that_grew_the_chain():

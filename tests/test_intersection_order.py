@@ -274,7 +274,8 @@ def test_backtrack_node_counts(name):
 # -- no chain for a certified meet section -----------------------------------------
 
 def test_certified_meet_section_builds_no_chain():
-    sggi = Sggi.from_graph(cons.family_graph_x(7, 3))
+    graph = cons.family_graph_x(7, 3)
+    sggi = Sggi.from_graph(graph)
     seen = 0
     for left, right in interval_nodes(sggi):
         A, B = sggi.section(left), sggi.section(right)
@@ -284,7 +285,7 @@ def test_certified_meet_section_builds_no_chain():
             continue
         cert = sggi._node_check(left, right, A, B, C, 5_000_000)
         assert C._state is None, (left, right)
-        assert cert == listing_node_check(Sggi.from_graph(sggi.source), left, right,
+        assert cert == listing_node_check(Sggi.from_graph(graph), left, right,
                                           5_000_000)
         seen += 1
     assert seen >= 3
