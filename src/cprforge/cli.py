@@ -2,8 +2,8 @@
 
 Exit codes of ``check``: 0 string C-group, 2 sggi but the intersection
 property fails, 3 string property fails, 1 I/O or validation error.
-``CPRFORGE_CAP`` overrides the default intersection cap; an explicit
-``--cap`` flag wins over the environment.  A cap below 1 is an error.
+The intersection cap comes from ``--cap`` alone; a cap below 1 is an
+error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import constructions
@@ -21,22 +20,6 @@ from .paper_cases import CASES, run_cases
 from .perm_core import DEFAULT_INTERSECTION_CAP
 from .prg import LabeledGraph
 from .report import EXIT_ERROR, EXIT_OK, build_report
-
-
-def _resolve_cap(args) -> int:
-    cap, source = args.cap, "--cap"
-    if cap is None:
-        env = os.environ.get("CPRFORGE_CAP")
-        if not env:
-            return DEFAULT_INTERSECTION_CAP
-        source = "CPRFORGE_CAP"
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CprforgeError(f"CPRFORGE_CAP={env!r} is not an integer")
-    if cap < 1:
-        raise CprforgeError(f"{source}={cap}: the intersection cap must be at least 1")
-    return cap
 
 
 def _write_text(path: str, text: str) -> None:
@@ -77,8 +60,10 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     g = _read_graph(args.path)
+    if args.cap < 1:
+        raise CprforgeError(f"--cap={args.cap}: the intersection cap must be at least 1")
     descriptor = {"path": args.path}
-    report, code = build_report(g, descriptor, mode=args.mode, cap=_resolve_cap(args))
+    report, code = build_report(g, descriptor, mode=args.mode, cap=args.cap)
     if args.json:
         _write_text(args.json, json.dumps(report, indent=2) + "\n")
     window = report["window"]
@@ -106,14 +91,12 @@ def cmd_glue(args) -> int:
         if len(inputs) != 1:
             raise CprforgeError("pendant gluing needs exactly one input graph")
         out = constructions.pendant_minus_one(inputs[0])
-    elif args.method == "conjecture":
+    else:
         if len(inputs) != 1:
             raise CprforgeError("conjecture gluing needs exactly one input graph")
         if args.i is None:
             raise CprforgeError("conjecture gluing needs --i")
         out = constructions.conjecture_glue(inputs[0], args.i)
-    else:  # unreachable, argparse restricts choices
-        raise CprforgeError(f"unknown method {args.method!r}")
     _write_graph(out, args.out)
     lo, hi = out.window()
     print(f"window [{lo}, {hi}]", file=sys.stderr)
@@ -160,10 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify a PRG file")
     check.add_argument("path")
     check.add_argument("--mode", choices=("recursive", "full"), default="recursive")
-    check.add_argument("--cap", type=int, default=None,
-                       help=f"cap on the nodes of each intersection count and "
-                            f"witness search, at least 1 (default "
-                            f"{DEFAULT_INTERSECTION_CAP}; CPRFORGE_CAP overrides)")
+    check.add_argument("--cap", type=int, default=DEFAULT_INTERSECTION_CAP,
+                       help="cap on the nodes of each intersection count and "
+                            "witness search, at least 1 (default %(default)s)")
     check.add_argument("--json", default=None, help="write the JSON report here")
     check.set_defaults(func=cmd_check)
 

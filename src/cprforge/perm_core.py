@@ -963,6 +963,8 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
     by the existence searches.  Node cap + 1 raises ``IntersectionTooLarge``
     with the message of ``intersection_tuples``.
     """
+    if known is not None and known.degree != G.degree:
+        raise DegreeMismatch(f"known degree {known.degree} vs {G.degree}")
     small, big = _smaller_first(G, H)
     if small._sym_product and big._sym_product:
         if known is not None and known._sym_product and len(

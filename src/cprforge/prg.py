@@ -21,6 +21,7 @@ a != b.  Edges are stored and serialized sorted by (label, a, b) with a < b.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -218,26 +219,19 @@ class LabeledGraph:
                 for comp in sub.components():
                     if not _component_shape_ok(sub, comp):
                         return ShapeVerdict(False, (i, j), comp)
-        return ShapeVerdict(True, None, None)
+        return ShapeVerdict(True)
 
 
+@dataclass(frozen=True)
 class ShapeVerdict:
     """Outcome of the component-shape check for non-adjacent label pairs."""
 
-    __slots__ = ("ok", "label_pair", "component")
-
-    def __init__(self, ok, label_pair, component):
-        self.ok = ok
-        self.label_pair = label_pair
-        self.component = component
+    ok: bool
+    label_pair: tuple | None = None
+    component: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "ShapeVerdict(pass)"
-        return f"ShapeVerdict(fail at labels {self.label_pair}, component {self.component})"
 
 
 def _component_shape_ok(sub: LabeledGraph, comp: tuple) -> bool:

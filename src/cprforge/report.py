@@ -109,17 +109,16 @@ REPORT_SCHEMA = {
 
 
 def build_report(g: LabeledGraph, descriptor: dict, mode: str = "recursive",
-                 cap: int | None = None) -> tuple:
+                 cap: int = DEFAULT_INTERSECTION_CAP) -> tuple:
     """Run the full check pipeline on a graph; return (report dict, exit code).
 
+    ``cap`` bounds the nodes of each intersection count and witness search.
     Raises the usual validation errors (IdentityGenerator,
     IntersectionTooLarge, RankTooLarge) for the caller to map to exit 1.
     A failing certificate is re-checked with ``verify_certificate`` first;
     one that does not re-check raises ``CprforgeError`` instead of being
     reported.
     """
-    if cap is None:
-        cap = DEFAULT_INTERSECTION_CAP
     timings = {}
 
     t = time.perf_counter()

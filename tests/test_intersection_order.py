@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cprforge import constructions as cons
 from cprforge.cgroup import IpCertificate, Sggi
-from cprforge.errors import IntersectionTooLarge
+from cprforge.errors import DegreeMismatch, IntersectionTooLarge
 from cprforge.paper_cases import corpus
 from cprforge.perm_core import (
     PermGroup,
@@ -334,3 +334,14 @@ def test_graph_x_9_4_passing_node_is_quick():
                             sggi.section(left[1:]), 5_000_000)
     assert time.perf_counter() - start < 10
     assert cert.ok
+
+
+@pytest.mark.parametrize("left", ["S3", "C3"])
+def test_known_of_another_degree_is_refused(left):
+    """The orbit-count shortcut must not compare class counts across degrees."""
+    groups = {"S3": PermGroup([P("(1,2)", 3), P("(2,3)", 3)]),
+              "C3": PermGroup([P("(1,2,3)", 3)])}
+    G, H = groups[left], groups["S3"]
+    assert intersection_order(G, H) == G.order
+    with pytest.raises(DegreeMismatch):
+        intersection_order(G, H, known=PermGroup([], degree=1))
