@@ -259,8 +259,9 @@ class Sggi:
         its labels minus the largest one by that label's involution, or is
         built from scratch when that prefix is not cached.  Either way it is
         ``PermGroup`` over its involutions in ascending label order: the same
-        chain, generators and element order, and the same answers whether or
-        not its chain was ever built.
+        chain and element order, and the same answers whether or not its
+        chain was ever built.  Its ``generators`` are those involutions, and
+        reading them builds nothing.
         """
         key = frozenset(labels)
         with self._lock:
@@ -413,8 +414,11 @@ def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
     """Re-check a failing certificate on its own: three membership tests.
 
     True iff the witness lies in <rho_left> and in <rho_right> but not in
-    <rho_meet>.  The orders are not recomputed.
+    <rho_meet>.  The orders are not recomputed.  A passing certificate has
+    no witness to re-check and raises ``ValueError``.
     """
+    if cert.ok:
+        raise ValueError("only a failing certificate has a witness to re-check")
     witness = cert.witness
     return (sggi.section(cert.left).contains(witness)
             and sggi.section(cert.right).contains(witness)

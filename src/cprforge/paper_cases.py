@@ -72,8 +72,8 @@ def corpus() -> list:
     return entries
 
 
-def _is_cpr(g: LabeledGraph, mode: str = "recursive") -> bool:
-    return Sggi.from_graph(g).is_string_c_group(mode=mode).is_string_c_group
+def _is_cpr(g: LabeledGraph) -> bool:
+    return Sggi.from_graph(g).is_string_c_group().is_string_c_group
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,13 @@ Jordan's theorem applies (an odd generator and an element with a prime
 cycle longer than |O|/2 and at most |O| - 3).  ``PermGroup._certified``
 makes that one decision.  A certified group answers order,
 membership and its intersection order with another such group from
-orbits, and builds no chain unless it is enumerated, searched, asked for
-its kept generators or extended by a group that needs one.  Every other
-group builds its chain when it is constructed.  The chain is a cache: a
-group keeps its inputs and its prefix for life, and none of its answers
-depends on whether, or when, its chain was built.  A ``PermGroup`` is
-immutable once constructed, apart from that one-time chain build.
+orbits, and builds no chain unless it is enumerated, searched or
+extended by a group that needs one.  Every other group builds its chain
+when it is constructed.  The chain is a cache: a group keeps its inputs
+and its prefix for life, its ``generators`` are those inputs, and none of
+its answers depends on whether, or when, its chain was built.  A
+``PermGroup`` is immutable once constructed, apart from that one-time
+chain build.
 """
 
 from __future__ import annotations
@@ -291,22 +292,24 @@ def parity(p: Permutation) -> str:
 # ---------------------------------------------------------------------------
 
 class _Layer:
-    """Transversal of the orbit of one base point (0-based).
+    """One level of a chain: the strong generators whose least moved point
+    is its base point, and the transversal of that point's orbit.
 
     The transversal dicts are replaced, never mutated: every change assigns
     fresh dicts, so copies of a chain may share them.
     """
 
-    __slots__ = ("base", "transversal", "inv_transversal", "stamp")
+    __slots__ = ("gens", "transversal", "inv_transversal", "stamp")
 
-    def __init__(self, base: int):
-        self.base = base
+    def __init__(self):
+        self.gens = []              # strong generator tuples stored at this level
         self.transversal = {}       # point -> representative tuple (base -> point)
         self.inv_transversal = {}   # point -> inverse of that representative
         self.stamp = -1             # level generator count at last verification
 
     def copy(self) -> "_Layer":
-        clone = _Layer(self.base)
+        clone = _Layer()
+        clone.gens = list(self.gens)
         clone.transversal = self.transversal
         clone.inv_transversal = self.inv_transversal
         clone.stamp = self.stamp
@@ -316,25 +319,23 @@ class _Layer:
 class _Chain:
     """Deterministic Schreier-Sims chain with base fixed to points 1..n.
 
-    Generators are stored at the level equal to their least moved point, so
-    the level-p generating set (everything stored at levels >= p) is exactly
+    Each generator is stored at the level of its least moved point, so the
+    level-p generating set (the generators of every level >= p) is exactly
     the stored strong generators fixing 1..p-1 pointwise.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.store = {}    # level point (0-based) -> list of gen tuples
         self.layers = {}   # level point (0-based) -> _Layer
 
     def copy(self) -> "_Chain":
         """A chain in the same state that grows independently of this one.
 
-        The store's lists and the layers are copied, because inserting
+        The layers are copied, generator lists included, because inserting
         appends to the lists and restamps the layers; the transversal dicts
         are shared (see ``_Layer``).
         """
         clone = _Chain(self.degree)
-        clone.store = {p: list(gens) for p, gens in self.store.items()}
         clone.layers = {p: layer.copy() for p, layer in self.layers.items()}
         return clone
 
@@ -372,18 +373,22 @@ class _Chain:
     # -- construction -------------------------------------------------------
 
     def level_gens(self, p: int) -> list:
-        return [g for q in sorted(self.store) if q >= p for g in self.store[q]]
+        layers = self.layers
+        return [g for q in sorted(layers) if q >= p for g in layers[q].gens]
 
-    def insert(self, g: tuple) -> bool:
-        """Sift g in; if new, store the residue and re-close.  True if the group grew."""
+    def insert(self, g: tuple) -> None:
+        """Sift g in; if the group grew, store the residue and re-close."""
         residue, stuck = self.sift(g)
-        if residue is None:
-            return False
-        self.store.setdefault(stuck, []).append(residue)
-        if stuck not in self.layers:
-            self.layers[stuck] = _Layer(stuck)
-        self._close()
-        return True
+        if residue is not None:
+            self._store(stuck, residue)
+            self._close()
+
+    def _store(self, p: int, residue: tuple) -> None:
+        """Append a residue to level p's generators, creating the level if new."""
+        layer = self.layers.get(p)
+        if layer is None:
+            layer = self.layers[p] = _Layer()
+        layer.gens.append(residue)
 
     def _rebuild_transversal(self, p: int, gens: list) -> None:
         layer = self.layers[p]
@@ -417,7 +422,7 @@ class _Chain:
         while True:
             for p in sorted(self.layers, reverse=True):
                 if self.layers[p].stamp != sum(
-                        len(gens) for q, gens in self.store.items() if q >= p):
+                        len(layer.gens) for q, layer in self.layers.items() if q >= p):
                     self._verify_level(p)
                     break
             else:
@@ -444,9 +449,7 @@ class _Chain:
                     if residue is None:
                         continue
                     # residues of level-p Schreier generators fix 1..p
-                    self.store.setdefault(stuck, []).append(residue)
-                    if stuck not in self.layers:
-                        self.layers[stuck] = _Layer(stuck)
+                    self._store(stuck, residue)
                     self._verify_level(stuck)
                     grew = True
                     break
@@ -513,18 +516,18 @@ class PermGroup:
     p <= m - 3, contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified
     group takes its order, membership test and block systems (none, when
     it is transitive) from its orbits and leaves its chain unbuilt; the
-    chain is built the first time ``_chain`` or ``generators`` is read, by
-    the same deterministic insertion as an uncertified group, which builds
-    its chain in the constructor.  So chains, kept generators and element
-    orders do not depend on when, or whether, a group was certified.  Block
-    systems are asked of transitive groups only, else ``NotTransitive``.
+    chain is built the first time ``_chain`` is read, by the same
+    deterministic insertion as an uncertified group, which builds its chain
+    in the constructor.  So chains and element orders do not depend on
+    when, or whether, a group was certified.  ``generators`` are the inputs,
+    and reading them builds nothing.  Block systems are asked of transitive
+    groups only, else ``NotTransitive``.
 
     Immutable after construction apart from that one-time build; safe for
-    concurrent reads: a build runs on locals and publishes the chain and the
-    kept generators together, once.
+    concurrent reads: a build runs on locals and publishes the chain once.
 
-    ``extends`` (internal) starts from that group's chain and ``generators``
-    (building them first if needed) and inserts ``generators`` after them.
+    ``extends`` (internal) starts from a copy of that group's chain
+    (building it first if needed) and inserts ``generators`` into it.
     Insertion is deterministic in the chain state, so
     ``PermGroup(b, extends=PermGroup(a))`` has the same chain, generators and
     element order as ``PermGroup(a + b)``.
@@ -550,7 +553,7 @@ class PermGroup:
                     f"generator degree {g.degree} != group degree {degree}")
         self._extends = extends
         self._new = generators
-        self._state = None      # (chain, kept generators) once built
+        self._state = None      # the chain, once built
         # the orbits, and the components the transposition inputs join: they
         # always refine the orbits, and equal them exactly when the
         # transpositions connect every orbit
@@ -594,7 +597,7 @@ class PermGroup:
            Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
         4. An odd generator then gives Sym(O).
 
-        The sequence starts from the inputs, ``_generating_set()``, and its
+        The sequence starts from the inputs, ``generators``, and its
         indices come from a fixed seed and their number, so randomness
         decides only whether a group is certified, never its order.
         Renumbering the points conjugates every element of the sequence,
@@ -608,7 +611,7 @@ class PermGroup:
         if len(moved) != 1 or len(moved[0]) < 8:
             return False
         m = len(moved[0])
-        gens = self._generating_set()
+        gens = self.generators
         if not any(parity(g) == "odd" for g in gens):
             return False
         primes = {p for p in range(m // 2 + 1, m - 2)
@@ -630,18 +633,23 @@ class PermGroup:
 
     @property
     def _chain(self) -> _Chain:
-        return (self._state or self._build())[0]
+        return self._state or self._build()
 
     @property
     def generators(self) -> tuple:
-        """The input generators that grew the chain, in input order.
+        """The inputs along the ``extends`` links, in input order; no chain.
 
-        Reading them builds the chain of a certified group; readers that
-        need only a generating set use the inputs, ``_generating_set``.
+        An input that lies in the group generated before it stays listed;
+        it changes no orbit, block system or induced group.
         """
-        return (self._state or self._build())[1]
+        parts = []
+        group = self
+        while group is not None:
+            parts.append(group._new)
+            group = group._extends
+        return tuple(g for part in reversed(parts) for g in part)
 
-    def _build(self) -> tuple:
+    def _build(self) -> _Chain:
         """Build and publish the chain, after that of every unbuilt prefix.
 
         Walks the ``extends`` links up to the nearest built group (or the
@@ -652,38 +660,20 @@ class PermGroup:
         while pending[-1]._extends is not None and pending[-1]._extends._state is None:
             pending.append(pending[-1]._extends)
         prefix = pending[-1]._extends
-        state = None if prefix is None else prefix._state
+        chain = None if prefix is None else prefix._state
         for group in reversed(pending):
-            state = group._grow(state)
-        return state
+            chain = group._grow(chain)
+        return chain
 
-    def _grow(self, prefix_state: tuple | None) -> tuple:
+    def _grow(self, prefix_chain: _Chain | None) -> _Chain:
         """Insert the inputs into a copy of the prefix's chain; publish once."""
-        if prefix_state is None:
-            chain, kept = _Chain(self.degree), []
-        else:
-            chain, kept = prefix_state[0].copy(), list(prefix_state[1])
+        chain = _Chain(self.degree) if prefix_chain is None else prefix_chain.copy()
         for g in self._new:
-            if chain.insert(g._img):
-                kept.append(g)
+            chain.insert(g._img)
         with PermGroup._publish_lock:
             if self._state is None:
-                self._state = (chain, tuple(kept))
+                self._state = chain
             return self._state
-
-    def _generating_set(self) -> list:
-        """The inputs along the ``extends`` links, in input order; no chain.
-
-        Inputs that did not grow the chain lie in the group generated before
-        them, so orbits, block systems and induced groups (chains and kept
-        generators included) are those of ``generators``.
-        """
-        parts = []
-        group = self
-        while group is not None:
-            parts.append(group._new)
-            group = group._extends
-        return [g for part in reversed(parts) for g in part]
 
     # -- structure ----------------------------------------------------------
 
@@ -784,7 +774,7 @@ class PermGroup:
         n = self.degree
         if self._sym_product:
             return []
-        gen_imgs = [g._img for g in self._generating_set()]
+        gen_imgs = [g._img for g in self.generators]
         systems = {p: self._finest_block_system_with(gen_imgs, 0, p - 1)
                    for p in range(2, n + 1)}
         minimal = [s for p, s in systems.items() if len(s) > 1 and s.blocks[0][1] == p
@@ -814,7 +804,7 @@ class PermGroup:
             return self
         index = {pt: i for i, pt in enumerate(points)}
         gens = []
-        for g in self._generating_set():
+        for g in self.generators:
             img = [0] * len(points)
             for pt in points:
                 img[index[pt]] = index[g.apply(pt)]
@@ -1020,7 +1010,7 @@ def _stabilizer_seeds(known: PermGroup) -> list:
                  for orbit in known.orbits() for x, y in zip(orbit, orbit[1:])]
     else:
         seeds = [(p, tuple((x, g[x]) for x in range(p, known.degree) if g[x] != x))
-                 for p, gens in known._chain.store.items() for g in gens]
+                 for p, layer in known._chain.layers.items() for g in layer.gens]
     seeds.sort(key=itemgetter(0))
     return seeds
 
@@ -1029,9 +1019,8 @@ def intersection(G: PermGroup, H: PermGroup,
                  cap: int = DEFAULT_INTERSECTION_CAP) -> PermGroup:
     """The subgroup {g : g in G and g in H}.
 
-    Its generators are the elements found by ``intersection_tuples`` that
-    grew the chain when inserted in search order; ``cap`` bounds that
-    search's nodes.
+    Its generators are every element found by ``intersection_tuples``, in
+    search order; ``cap`` bounds that search's nodes.
     """
     return PermGroup(map(Permutation._from_tuple, intersection_tuples(G, H, cap)),
                      degree=G.degree)

@@ -8,6 +8,8 @@ the chain alone.  They must equal the normal reports, timings aside, on:
 * the named corpus, in both modes;
 * the benchmark's inputs, at their canonical numbering and under two
   renumberings drawn as the benchmark draws them;
+* larger members of the ladder, two-row and wreath families, each under
+  one such renumbering;
 * connected graphs on 8-10 vertices whose every label has exactly two
   edges, so every generator is even and the Jordan tier must refuse them.
 """
@@ -35,6 +37,20 @@ BENCH_INPUTS = {
 }
 
 
+# lemme1 and simplex sampled, graph_x at its lowest, middle and highest h;
+# the whole set costs about 7 s of chain-only and normal reports on 2 x86 cores
+LARGE_INPUTS = ([("lemme1", {"r": r}) for r in (8, 10, 13)]
+                + [("graph_x", {"r": r, "h": h}) for r in (9, 11, 13)
+                   for h in (1, (r - 3) // 2, r - 4)]
+                + [("wreathsimp", {"r": r}) for r in range(7, 13)]
+                + [("simplex", {"r": r}) for r in (15, 20, 22)])
+
+
+def family_case(family: str, params: dict):
+    name = f"{family}({','.join(str(v) for v in params.values())})"
+    return name, build_family(FamilySpec(family, params))
+
+
 def renumbered(g, key: str):
     """The graph under the vertex renumbering drawn from ``key``."""
     perm = list(range(1, g.n + 1))
@@ -46,11 +62,16 @@ def renumbered(g, key: str):
 def bench_cases():
     for mode, inputs in BENCH_INPUTS.items():
         for family, params in inputs:
-            name = f"{family}({','.join(str(v) for v in params.values())})"
-            g = build_family(FamilySpec(family, params))
+            name, g = family_case(family, params)
             yield name, g, mode
             for k in range(2):
                 yield f"{name}@{k}", renumbered(g, f"7/{name}/{k}"), mode
+
+
+def large_cases():
+    for family, params in LARGE_INPUTS:
+        name, g = family_case(family, params)
+        yield f"{name}@0", renumbered(g, f"7/{name}/0"), "recursive"
 
 
 def two_edge_label_graphs(count: int):
@@ -83,6 +104,7 @@ CASE_SETS = {
     "corpus": lambda: [(name, g, mode) for name, g in corpus()
                        for mode in ("recursive", "full")],
     "bench": lambda: list(bench_cases()),
+    "large": lambda: list(large_cases()),
     "two-edge-labels": lambda: two_edge_label_graphs(24),
 }
 

@@ -61,9 +61,9 @@ def count_grows(monkeypatch):
     grown = []
     grow = PermGroup._grow
 
-    def counting(self, prefix_state):
+    def counting(self, prefix_chain):
         grown.append(self)
-        return grow(self, prefix_state)
+        return grow(self, prefix_chain)
 
     monkeypatch.setattr(PermGroup, "_grow", counting)
     return grown
@@ -81,7 +81,7 @@ def test_report_builds_no_chain_twice(monkeypatch):
         # key each construction by the whole input list it represents; the
         # prefix's inputs build no chain, so the spy leaves the run as it is
         gens = tuple(generators)
-        full = tuple(extends._generating_set() if extends is not None else ()) + gens
+        full = (extends.generators if extends is not None else ()) + gens
         seen.append((degree or full[0].degree, tuple(g.images for g in full)))
         build(self, gens, degree=degree, extends=extends)
 
@@ -93,12 +93,22 @@ def test_report_builds_no_chain_twice(monkeypatch):
     assert len(grown) == len(plain) == 0
 
 
-def test_generators_are_those_that_grew_the_chain():
+def test_generators_are_the_inputs():
     a, b = P("(1,2)", 4), P("(3,4)", 4)
-    group = PermGroup([Permutation.identity(4), a, b, a * b, a, b])
-    assert group.generators == (a, b)
+    inputs = (Permutation.identity(4), a, b, a * b, a, b)
+    group = PermGroup(inputs)
+    assert group.generators == inputs
     assert group.order == 4
     assert PermGroup(iter([a, b]), degree=4).generators == (a, b)
+    # an extended group lists its prefix's inputs, then its own
+    extended = PermGroup(inputs[3:], degree=4, extends=PermGroup(inputs[:3]))
+    assert extended.generators == PermGroup(inputs).generators == inputs
+    # reading them builds no chain
+    sggi = Sggi.from_graph(cons.simplex(5))
+    section = sggi.section(range(0, 4))
+    assert section._state is None
+    assert section.generators == tuple(sggi.generators()[:4])
+    assert section._state is None
 
 
 def test_induced_on_every_point_is_the_group():
@@ -132,11 +142,10 @@ def test_section_enumeration_digests(name):
 def chain_state(group):
     """Everything a chain's later growth and enumeration read, in dict order."""
     chain = group._chain
-    layers = [(p, layer.base, list(layer.transversal.items()),
+    layers = [(p, list(layer.gens), list(layer.transversal.items()),
                list(layer.inv_transversal.items()), layer.stamp)
               for p, layer in chain.layers.items()]
-    store = [(p, list(gens)) for p, gens in chain.store.items()]
-    return chain.degree, store, layers, group.generators
+    return chain.degree, layers, group.generators
 
 
 def record_extensions(monkeypatch):

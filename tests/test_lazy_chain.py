@@ -32,10 +32,11 @@ from test_chain_builds import chain_state
 
 
 def eager(gens, degree):
-    """Chain and kept generators, inserted one by one from scratch."""
+    """Chain and generators, inserted one by one from scratch."""
     chain = perm_core._Chain(degree)
-    kept = tuple(g for g in gens if chain.insert(g._img))
-    return SimpleNamespace(_chain=chain, generators=kept)
+    for g in gens:
+        chain.insert(g._img)
+    return SimpleNamespace(_chain=chain, generators=tuple(gens))
 
 
 def reference_orbits(gens, degree):
@@ -84,7 +85,7 @@ def assert_matches_eager(group, gens, degree, rng):
     for img in probes(gens, degree, reference, rng):
         assert group.contains_tuple(img) == (reference._chain.sift(img)[0] is None)
     # the generating set read without a chain builds the very same chain
-    rebuilt = PermGroup(group._generating_set(), degree=degree)
+    rebuilt = PermGroup(group.generators, degree=degree)
     assert chain_state(rebuilt) == chain_state(reference)
     assert chain_state(group) == chain_state(reference)
 
@@ -117,16 +118,17 @@ def test_generating_set_is_the_inputs_before_and_after_the_chain():
     sggi = Sggi.from_graph(LabeledGraph(3, [(0, 1, 2), (1, 2, 3), (2, 1, 3)]))
     group = sggi.section([0, 1, 2])
     assert certified(group)
-    assert group._generating_set() == sggi.generators()
-    assert len(group.generators) == 2
-    assert group._generating_set() == sggi.generators()
+    assert group.generators == tuple(sggi.generators())
+    group._chain
+    assert not certified(group)
+    assert group.generators == tuple(sggi.generators())
     # label 2 repeats label 0, so the section builds its chain when constructed
     sggi = Sggi.from_graph(LabeledGraph(5, [(0, 1, 2), (0, 3, 4), (1, 2, 3),
                                             (1, 4, 5), (2, 1, 2), (2, 3, 4)]))
     assert sggi.generator(2) == sggi.generator(0)
     group = sggi.section([0, 1, 2])
     assert not certified(group)
-    assert group._generating_set() == sggi.generators()
+    assert group.generators == tuple(sggi.generators())
 
 
 def test_corpus_generating_sets_are_the_involutions():
@@ -140,11 +142,11 @@ def test_corpus_generating_sets_are_the_involutions():
         rng.shuffle(subsets)
         for kept in subsets:
             group = sggi.section(kept)
-            involutions = [sggi.generator(l) for l in kept]
-            assert group._generating_set() == involutions, (name, kept)
+            involutions = tuple(sggi.generator(l) for l in kept)
+            assert group.generators == involutions, (name, kept)
             if rng.random() < 0.5:
-                group.generators
-                assert group._generating_set() == involutions, (name, kept)
+                group._chain
+                assert group.generators == involutions, (name, kept)
 
 
 @st.composite
@@ -266,11 +268,10 @@ def test_lemme1_report_builds_no_chain_twice(monkeypatch):
     seen = []
     grow = PermGroup._grow
 
-    def recording(self, prefix_state):
+    def recording(self, prefix_chain):
         # key each build by the whole generator list its chain represents
-        full = (prefix_state[1] if prefix_state else ()) + self._new
-        seen.append((self.degree, tuple(g.images for g in full)))
-        return grow(self, prefix_state)
+        seen.append((self.degree, tuple(g.images for g in self.generators)))
+        return grow(self, prefix_chain)
 
     monkeypatch.setattr(PermGroup, "_grow", recording)
     build_report(cons.family_lemme1(6), {"path": "lemme1(6)"})
@@ -306,7 +307,7 @@ def test_concurrent_first_reads_share_one_build():
     chain, gens, state = results[0]
     assert state == chain_state(reference)
     for other_chain, other_gens, other_state in results:
-        assert other_chain is chain and other_gens is gens
+        assert other_chain is chain and other_gens == gens
         assert other_state == state
     # the shared prefix was built on the way, once, from scratch
     assert chain_state(prefix) == chain_state(eager(sggi.generators()[:5], sggi.degree))

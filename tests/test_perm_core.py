@@ -239,7 +239,7 @@ def test_enumeration_deterministic_and_complete():
 
 def test_degree_one_group():
     group = PermGroup([Permutation.identity(1)])
-    assert group.order == 1 and group.generators == ()
+    assert group.order == 1 and group.generators == (Permutation.identity(1),)
     assert list(group.element_tuples()) == [(0,)]
     assert list(intersection_tuples(group, group)) == [(0,)]
     meet = intersection(group, group)

@@ -325,7 +325,7 @@ def reference_minimal_block_systems(group):
     if n < 2:
         return []
     candidates = []
-    imgs = [g._img for g in group._generating_set()]
+    imgs = [g._img for g in group.generators]
     for b in range(1, n):
         system = group._finest_block_system_with(imgs, 0, b)
         if 1 < len(system) < n:
@@ -382,7 +382,7 @@ def test_a_finest_system_through_point_1_need_not_be_minimal():
     and 3 is the halves, which the pairs refine."""
     n, cycles, _, _ = NESTED["sylow2(S8)"]
     group = PermGroup([Permutation.parse(c, n) for c in cycles], degree=n)
-    imgs = [g._img for g in group._generating_set()]
+    imgs = [g._img for g in group.generators]
     assert group._finest_block_system_with(imgs, 0, 2).blocks == (
         (1, 2, 3, 4), (5, 6, 7, 8))
     assert group._finest_block_system_with(imgs, 0, 1).blocks == (

@@ -113,8 +113,6 @@ UNCALLED_PUBLIC = {
     "Sggi.dual": "the paper's dual of an sggi that has no graph, as after "
                  "a sesqui-extension",
     "Sggi.generators": "the exported Sggi's involutions in label order",
-    "PermGroup.generators":
-        "the exported PermGroup's kept generators, those that grew its chain",
     "WitnessReport.ok":
         "the two-row refutation's verdict: the witness lies in both sections "
         "and outside the meet",

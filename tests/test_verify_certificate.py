@@ -55,3 +55,11 @@ def test_corrupted_certificate_exits_1(tmp_path, monkeypatch, capsys, claim):
     assert "intersection property: FAILS" not in captured.out
     assert "internal error" in captured.err
     assert bad.witness.cycle_string() in captured.err
+
+
+def test_passing_certificate_is_refused():
+    sggi = Sggi.from_graph(cons.simplex(4))
+    cert = sggi.check_ip_recursive()
+    assert cert.ok
+    with pytest.raises(ValueError, match="only a failing certificate"):
+        verify_certificate(sggi, cert)
