@@ -11,7 +11,13 @@ stabilizer does not move) is built on demand; one depth-first walk over
 it, ``_pruned_search``, enumerates, lists intersections and searches for
 existence.  The same input generator list always produces the same chain,
 the same element enumeration order and therefore the same witnesses
-downstream, whenever the chain is built.
+downstream, whenever the chain is built.  While one inserted generator is
+closed in, each Schreier generator that sifts to the identity is kept in a
+set that lives for that insertion only, and it is not sifted again when a
+level is scanned anew; a rebuilt transversal that changes a representative
+empties the set, so every skip is a sift that would have reached the
+identity, and the chain is the one built without the set (see
+``_Chain._verify_level``).
 
 Every partition of points comes from one union-find (``_joined``), and a
 group's partitions come from one join loop over it (``_join_moves``): its
@@ -322,6 +328,12 @@ class _Chain:
     Each generator is stored at the level of its least moved point, so the
     level-p generating set (the generators of every level >= p) is exactly
     the stored strong generators fixing 1..p-1 pointwise.
+
+    An insertion that grows the chain closes it with ``_close``, which
+    keeps the Schreier generators already sifted to the identity in a set
+    local to that insertion, emptied whenever a representative changes;
+    the chain holds no such set, so a copy and every later insertion start
+    without one.
     """
 
     def __init__(self, degree: int):
@@ -390,7 +402,13 @@ class _Chain:
             layer = self.layers[p] = _Layer()
         layer.gens.append(residue)
 
-    def _rebuild_transversal(self, p: int, gens: list) -> None:
+    def _rebuild_transversal(self, p: int, gens: list) -> bool:
+        """Rebuild level p's transversal from its generating set ``gens``.
+
+        Returns True when a point that had a representative gets another
+        one.  Generating sets only grow, so every such point is still in
+        the orbit.
+        """
         layer = self.layers[p]
         identity = tuple(range(self.degree))
         transversal = {p: identity}
@@ -408,49 +426,87 @@ class _Chain:
                     transversal[y] = new_rep
                     inv_transversal[y] = _inv(new_rep)
                     queue.append(y)
+        old = layer.transversal
         layer.transversal = transversal
         layer.inv_transversal = inv_transversal
+        return any(transversal[pt] != rep for pt, rep in old.items())
 
     def _close(self) -> None:
         """Restore the strong-generator property chain-wide.
 
         Walks stale levels deepest-first (a level is stale when its
         generating set grew since its last verified stamp) until a full
-        scan finds nothing stale.  A level that is not stale keeps its
-        transversal, which changes only when the level's generators do.
+        scan finds nothing stale; one pass of suffix generator counts from
+        the deepest level up finds the deepest stale level.  A level that is
+        not stale keeps its transversal, which changes only when the level's
+        generators do.
+
+        ``trivial`` holds Schreier generators that have sifted to the
+        identity (see ``_verify_level``).  It lives for one insertion: it is
+        not part of the chain, and ``copy`` never sees it.
         """
+        trivial = set()
+        layers = self.layers
         while True:
-            for p in sorted(self.layers, reverse=True):
-                if self.layers[p].stamp != sum(
-                        len(layer.gens) for q, layer in self.layers.items() if q >= p):
-                    self._verify_level(p)
+            count = 0
+            for p in sorted(layers, reverse=True):
+                layer = layers[p]
+                count += len(layer.gens)
+                if layer.stamp != count:
+                    self._verify_level(p, trivial)
                     break
             else:
                 return
 
-    def _verify_level(self, p: int) -> None:
+    def _verify_level(self, p: int, trivial: set) -> None:
         """Sift every Schreier generator of level p; store residues deeper.
 
         Starts over from a rebuilt transversal whenever a residue grows the
-        chain, and stamps the level once a whole pass stores nothing.
+        chain, and stamps the level once a whole pass stores nothing.  A
+        Schreier generator u_x s u_y^-1 is the identity exactly when
+        u_x s = u_y, so that test needs no inverse product.
+
+        A Schreier generator in ``trivial`` is not sifted again, one that
+        sifts to the identity joins it, and a rebuild that gives some point
+        a new representative empties it.  So each tuple in it sifted to the
+        identity through representatives that are all still in place, and
+        sifting it again would take the same steps to the identity: the
+        skip stores exactly the residues, transversals and stamps that
+        sifting every generator on every scan stores (a test builds chains
+        both ways and compares them).  The chain is therefore the same base
+        and strong generating set (Seress, *Permutation Group Algorithms*,
+        2003, Sec. 4.2): a skipped tuple is a product of transversal
+        elements of deeper levels, each a word in the generators of those
+        levels, which only grow while the chain closes; so by Schreier's
+        lemma each level's point stabilizer is generated by the levels
+        below it, and the orders are exact.  Emptying the set matters: a
+        set kept across a change of representatives skips tuples that would
+        now sift to a residue, and stores a different, still valid, chain.
         """
         layer = self.layers[p]
         while True:
             gens = self.level_gens(p)
-            self._rebuild_transversal(p, gens)
+            if self._rebuild_transversal(p, gens):
+                trivial.clear()
+            transversal = layer.transversal
+            inv_transversal = layer.inv_transversal
             grew = False
-            for pt, rep in layer.transversal.items():
+            for pt, rep in transversal.items():
                 for s in gens:
                     y = s[pt]
-                    schreier = _mul(_mul(rep, s), layer.inv_transversal[y])
-                    if _is_id(schreier):
+                    moved = _mul(rep, s)
+                    if moved == transversal[y]:
+                        continue
+                    schreier = _mul(moved, inv_transversal[y])
+                    if schreier in trivial:
                         continue
                     residue, stuck = self.sift(schreier)
                     if residue is None:
+                        trivial.add(schreier)
                         continue
                     # residues of level-p Schreier generators fix 1..p
                     self._store(stuck, residue)
-                    self._verify_level(stuck)
+                    self._verify_level(stuck, trivial)
                     grew = True
                     break
                 if grew:
