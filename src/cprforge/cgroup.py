@@ -19,13 +19,13 @@ closure ``paper_cases.closure_tuples``:
   mask.
 
 Both return an ``IpCertificate``.  A node passes exactly when |A ^ B|
-equals the order of the meet section C, which always lies in A ^ B; the
-count comes from ``perm_core.intersection_order`` seeded with C, which
-never lists A ^ B and decides a node of three symmetric orbit products
-by counting orbits.  A failing certificate carries the first witness
-permutation in the deterministic enumeration order of the offending
-intersection, found by the pruned search of
-``perm_core.intersection_tuples``, which stops there.
+equals the order of the meet section C, which always lies in A ^ B.  Each
+node runs one search, the subgroup backtrack ``perm_core._backtrack``
+seeded with C, which never lists A ^ B and decides a node of three
+symmetric orbit products by counting orbits.  A failing certificate takes
+its actual order and its witness from that same run: the witness is the
+first element the backtrack finds, which is the first element of the
+offending intersection outside C in the deterministic enumeration order.
 ``verify_certificate`` re-checks a failing certificate on its own.
 """
 
@@ -41,11 +41,10 @@ from .perm_core import (
     DEFAULT_INTERSECTION_CAP,
     PermGroup,
     Permutation,
+    _backtrack,
     _mul,
     compose,
     element_order,
-    intersection_order,
-    intersection_tuples,
 )
 from .prg import LabeledGraph
 
@@ -90,7 +89,10 @@ class IpCertificate:
     On failure, ``left`` and ``right`` are the offending kept-label subsets,
     ``expected_order`` the order of the subgroup generated by their meet,
     ``actual_order`` the order of the actual intersection and ``witness`` a
-    permutation inside both sections but outside the expected subgroup.
+    permutation inside both sections but outside the expected subgroup:
+    the first element of the intersection outside it, in the smaller
+    section's enumeration order.  Both come from the one backtrack that
+    checked the node.
     """
 
     status: str                       # "pass" | "fail"
@@ -295,30 +297,27 @@ class Sggi:
 
         Returns a passing/failing certificate for that single subset pair.
         The meet section C lies in A ^ B, so the node passes exactly when
-        |A ^ B| = |C|, and only that count is needed:
-        ``perm_core.intersection_order``, seeded with C, gives it without
-        listing A ^ B (from an orbit count when all three sections are full
-        symmetric orbit products).  Only a failing node names its meet
-        labels and searches for its witness: the first element of A ^ B, in
-        the smaller section's enumeration order, that leaves C, found by the
-        pruned search of ``intersection_tuples`` stopped there.  ``cap``
-        bounds the nodes of each of those two searches; a trip names both
-        label sets.
+        |A ^ B| = |C|.  One search decides it: ``perm_core._backtrack``,
+        seeded with C, counts A ^ B without listing it (from an orbit count
+        when all three sections are full symmetric orbit products).  A
+        failing node takes its actual order and its witness from that run:
+        the first element found, which is the first element of A ^ B, in
+        the smaller section's enumeration order, that leaves C.  Only a
+        failing node names its meet labels.  ``cap`` bounds the search's
+        nodes; a trip names both label sets.
         """
         try:
-            actual = intersection_order(A, B, known=C, cap=cap)
-            if actual == C.order:
-                return _PASS
-            witness = next(img for img in intersection_tuples(A, B, cap)
-                           if not C.contains_tuple(img))
+            actual, found = _backtrack(A, B, C, cap)
         except IntersectionTooLarge as exc:
             raise IntersectionTooLarge(
                 f"sections for {list(left)} and {list(right)}: {exc}",
                 left=exc.left, right=exc.right) from None
+        if actual == C.order:
+            return _PASS
         return IpCertificate("fail", left=tuple(left), right=tuple(right),
                              meet=tuple(sorted(set(left) & set(right))),
                              expected_order=C.order, actual_order=actual,
-                             witness=Permutation._from_tuple(witness))
+                             witness=Permutation._from_tuple(found[0]))
 
     def _first_failure(self, nodes, cap: int) -> IpCertificate:
         """Node-check each (left, right, A, B, C) in order, A, B and C being

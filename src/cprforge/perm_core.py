@@ -8,8 +8,10 @@ tuples.  Composition order is fixed package-wide: ``compose(p, q)`` applies
 A group's deterministic stabilizer chain (Schreier-Sims with the base
 fixed to the ascending point order 1..n, skipping points the relevant
 stabilizer does not move) is built on demand; one depth-first walk over
-it, ``_pruned_search``, enumerates, lists intersections and searches for
-existence.  The same input generator list always produces the same chain,
+it, ``_pruned_search``, enumerates and searches for existence, and one
+subgroup backtrack, ``_backtrack``, built on those searches, gives an
+intersection's order, a node check's witness and ``intersection``'s
+generators.  The same input generator list always produces the same chain,
 the same element enumeration order and therefore the same witnesses
 downstream, whenever the chain is built.  While one inserted generator is
 closed in, each Schreier generator that sifts to the identity is kept in a
@@ -875,30 +877,6 @@ class PermGroup:
 # module-level operations (the documented surface)
 # ---------------------------------------------------------------------------
 
-def intersection_tuples(G: PermGroup, H: PermGroup,
-                        cap: int = DEFAULT_INTERSECTION_CAP) -> Iterator[tuple]:
-    """The elements of G ^ H as raw tuples, in the smaller group's order.
-
-    A depth-first search over the chain of the smaller group (G on a tie)
-    visits its elements in enumeration order.  The transversal elements of
-    level k and deeper fix every point below the k-th base point, so the
-    product of the first k choices already fixes the images of those
-    points.  Each choice sifts only the points it newly fixes through the
-    other group, and a failed sift prunes the subtree, which then holds no
-    element of G ^ H.
-
-    ``cap`` bounds the search nodes, one per transversal element tried at
-    any depth.  The search raises ``IntersectionTooLarge`` on node cap + 1,
-    after yielding everything found before it.  ``intersection_order`` runs
-    the same walk below single prefixes, and ``element_tuples`` runs it
-    with a test that keeps every image.
-    """
-    small, big = _smaller_first(G, H)
-    plan = _search_plan(small._chain, big._sift_range, cap, (G.order, H.order))
-    identity = tuple(range(small.degree))
-    return _pruned_search(plan, 0, identity, identity, [0])
-
-
 def _smaller_first(G: PermGroup, H: PermGroup) -> tuple:
     if G.degree != H.degree:
         raise DegreeMismatch(f"degree {G.degree} vs {H.degree}")
@@ -909,7 +887,7 @@ def _search_plan(chain: _Chain, sift, cap: float, orders: tuple | None) -> tuple
     """What ``_pruned_search`` reads: the chain's levels, their
     representatives, the end of each level's fixed points, the membership
     test on a point range (``_keep`` to enumerate), the cap and the two
-    orders for its message.  Enumeration, listing and existence share it."""
+    orders for its message.  Enumeration and existence searches share it."""
     levels = sorted(chain.layers)
     reps = [
         [chain.layers[p].transversal[pt] for pt in sorted(chain.layers[p].transversal)]
@@ -936,10 +914,10 @@ def _pruned_search(plan: tuple, depth: int, acc: tuple, residue: tuple,
                    spent: list) -> Iterator[tuple]:
     """The elements below one prefix that pass the plan's test, in order.
 
-    The one walk over a chain: it enumerates, lists an intersection and,
-    stopped early, searches for existence.  ``acc`` is the product of the
-    choices above ``depth`` and ``residue`` its sift through the test on
-    every point they fix.  One node is counted in ``spent[0]`` per
+    The one walk over a chain: it enumerates and, stopped early, searches
+    for existence below one prefix of ``_backtrack``.  ``acc`` is the
+    product of the choices above ``depth`` and ``residue`` its sift through
+    the test on every point they fix.  One node is counted in ``spent[0]`` per
     transversal element tried, and node cap + 1 raises.  The count is
     written back before each element is yielded and at the end, so a
     caller that stops early reads what it used.  The walk keeps an explicit
@@ -979,51 +957,98 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
 
     Two full symmetric orbit products meet in the symmetric product over
     the cells of their common orbit refinement, the points sharing one
-    pair of orbit ids: a product of factorials, with no chain and no node.
-    When ``known`` is a symmetric orbit product too, its orbits refine
-    those cells, because it lies in G ^ H; so the two orders are equal
-    exactly when the two partitions have as many classes, fixed points
-    included, and then ``known.order`` is returned without the factorials.
-    Any other pair is counted by subgroup backtrack.
-
+    pair of orbit ids: a product of factorials, with no chain and no node,
+    unless ``_orbit_count_passes`` already answers ``known.order``.  Any
+    other pair is counted by ``_backtrack``, whose nodes ``cap`` bounds.
     ``known``, when given, must be a subgroup of G ^ H; it only saves work.
-    Let b_0 < ... < b_m be the base points of the smaller group's chain and
-    D_k the elements of D = G ^ H that fix every point below b_k.  Then
-    |D| is the product of the sizes of the orbits b_k^(D_k).  The levels
-    are settled from the deepest up (Seress, *Permutation Group
-    Algorithms*, 2003, Sec. 9.1).  K is generated by the elements of D
-    found so far and by generators of ``known``'s subgroup fixing every
-    point below b_k; it lies in D_k, so each D_k-orbit is a union of
-    K-orbits.  At level k each transversal point outside b_k's K-orbit and
-    outside every K-orbit already proven absent is the start of one
-    existence search: the pruned search below the prefix u_gamma, stopped
-    at its first element.  A found element joins K; when none exists the
-    point's whole K-orbit is absent, marked by its root.  (A class that
-    later joins under another root drops the mark, which costs at most a
-    repeated search.)  Once every point is settled, b_k's K-orbit is
-    b_k^(D_k).  Only K's orbits are kept, in one union-find that grows from
-    level to level.
-
-    ``cap`` bounds the nodes: one per transversal point visited at a
-    level, skipped points included, and one per transversal element tried
-    by the existence searches.  Node cap + 1 raises ``IntersectionTooLarge``
-    with the message of ``intersection_tuples``.
     """
     if known is not None and known.degree != G.degree:
         raise DegreeMismatch(f"known degree {known.degree} vs {G.degree}")
     small, big = _smaller_first(G, H)
+    if _orbit_count_passes(small, big, known):
+        return known.order
     if small._sym_product and big._sym_product:
-        if known is not None and known._sym_product and len(
-                set(zip(small._orbit_id, big._orbit_id))) == len(known._orbits):
-            return known.order
         cells = Counter(zip(small._orbit_id, big._orbit_id))
         return math.prod(map(math.factorial, cells.values()))
+    return _backtrack(G, H, known, cap)[0]
+
+
+def _orbit_count_passes(G: PermGroup, H: PermGroup, known: PermGroup | None) -> bool:
+    """Whether G ^ H = ``known`` follows from orbits alone.
+
+    When G and H are full symmetric orbit products, G ^ H is the symmetric
+    product over the cells of their common orbit refinement.  A ``known``
+    that is a symmetric orbit product too lies in G ^ H, so its orbits
+    refine those cells, and the two groups are equal exactly when the two
+    partitions have as many classes, fixed points included.
+    """
+    return (known is not None and G._sym_product and H._sym_product
+            and known._sym_product
+            and len(set(zip(G._orbit_id, H._orbit_id))) == len(known._orbits))
+
+
+def _backtrack(G: PermGroup, H: PermGroup, known: PermGroup | None,
+               cap: int) -> tuple:
+    """|D| for D = G ^ H, and the elements of D that the backtrack finds.
+
+    The one walk over G ^ H, by subgroup backtrack (Seress, *Permutation
+    Group Algorithms*, 2003, Sec. 9.1).  ``known``, when given, must be a
+    subgroup C of D; when ``_orbit_count_passes`` settles D = C, nothing is
+    walked and nothing is found.
+
+    Let b_0 < ... < b_m be the base points of the chain of the smaller
+    group (G on a tie, by ``_smaller_first``), and D_k and C_k the elements
+    of D and of C that fix every point below b_k.  Then |D| is the product
+    of the sizes of the orbits b_k^(D_k).  The levels are settled from the
+    deepest up.  K is generated by the elements found so far and by
+    generators of C's subgroup fixing every point below b_k; it lies in
+    D_k, so each D_k-orbit is a union of K-orbits.  At level k each
+    transversal point outside b_k's K-orbit and outside every K-orbit
+    already proven absent is the start of one existence search: the pruned
+    search below the prefix u_gamma, stopped at its first element.  A found
+    element joins K and the list returned; when none exists the point's
+    whole K-orbit is absent, marked by its root.  (A class that later joins
+    under another root drops the mark, which costs at most a repeated
+    search.)  Once every point is settled, b_k's K-orbit is b_k^(D_k).
+    Only K's orbits are kept, in one union-find that grows from level to
+    level.
+
+    Why the first element found is a node check's witness, the first
+    element of D outside C in the smaller group's enumeration order:
+
+    * Each level tries the identity first, so the enumeration lists all of
+      D_k before anything else in D.
+    * Let k* be the deepest level where D_k* != C_k*.  At every deeper
+      level, b_k's C_k-orbit already equals its D_k-orbit, so the
+      backtrack finds nothing there, and it reaches k* with K = C_k*.
+    * At k*, the elements of D over a point in b's C-orbit form a coset
+      c D_(k*+1) = c C_(k*+1), which lies inside C; every element over a
+      point outside that orbit lies outside C.
+    * So the witness is the first element of D under the first point
+      outside b's C-orbit whose subtree meets D, which is exactly the
+      backtrack's first hit: the points it skips as absent hold no element
+      of D.
+    * If D = C, nothing is found.
+
+    Without C, the elements found generate D, which ``intersection``
+    returns.  Induct from the deepest level: the elements found at levels
+    >= k generate a group inside D_k; it has the b_k-orbit b_k^(D_k) and
+    contains D_(k+1), the stabilizer of b_k in D_k, so it is D_k.
+
+    ``cap`` bounds the nodes: one per transversal point visited at a level,
+    skipped points included, and one per transversal element tried by the
+    existence searches.  Node cap + 1 raises ``IntersectionTooLarge``.
+    """
+    small, big = _smaller_first(G, H)
+    if _orbit_count_passes(small, big, known):
+        return known.order, []
     plan = _search_plan(small._chain, big._sift_range, cap, (G.order, H.order))
     levels, reps, ends, sift, _, orders = plan
     parent = list(range(small.degree))
     seeds = [] if known is None else _stabilizer_seeds(known)
     spent = [0]
     order = 1
+    found = []
     for k in range(len(levels) - 1, -1, -1):
         b = levels[k]
         while seeds and seeds[-1][0] >= b:
@@ -1038,18 +1063,19 @@ def intersection_order(G: PermGroup, H: PermGroup, known: PermGroup | None = Non
             if root == _root(parent, b) or root in absent:
                 continue
             residue = sift(u, b, ends[k])
-            found = None if residue is None else next(
+            element = None if residue is None else next(
                 _pruned_search(plan, k + 1, u, residue, spent), None)
-            if found is None:
+            if element is None:
                 absent.add(root)
                 continue
-            # found fixes every point below b
+            found.append(element)
+            # the element fixes every point below b
             for x in range(b, small.degree):
-                if found[x] != x:
-                    _union(parent, x, found[x])
+                if element[x] != x:
+                    _union(parent, x, element[x])
         root = _root(parent, b)
         order *= sum(1 for u in reps[k] if _root(parent, u[b]) == root)
-    return order
+    return order, found
 
 
 def _stabilizer_seeds(known: PermGroup) -> list:
@@ -1075,8 +1101,9 @@ def intersection(G: PermGroup, H: PermGroup,
                  cap: int = DEFAULT_INTERSECTION_CAP) -> PermGroup:
     """The subgroup {g : g in G and g in H}.
 
-    Its generators are every element found by ``intersection_tuples``, in
-    search order; ``cap`` bounds that search's nodes.
+    Its generators are the elements that ``_backtrack`` finds with no known
+    subgroup, in the order found; they generate G ^ H, and ``cap`` bounds
+    the backtrack's nodes, as it does for ``intersection_order``.
     """
-    return PermGroup(map(Permutation._from_tuple, intersection_tuples(G, H, cap)),
+    return PermGroup(map(Permutation._from_tuple, _backtrack(G, H, None, cap)[1]),
                      degree=G.degree)

@@ -27,10 +27,15 @@ from cprforge.perm_core import (
     Permutation,
     _Chain,
     _Layer,
+    intersection,
     intersection_order,
-    intersection_tuples,
 )
 from cprforge.report import build_report
+
+from test_certificate_reference import family_case
+from test_intersection_search import intersection_tuples
+from test_output_digest import bench_workloads
+from test_random_graphs import graphs
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -104,6 +109,39 @@ def test_backtrack_counts_every_corpus_node(name, g):
             listing_node_check(reference, left, right, cap), (left, right)
 
 
+def assert_node_checks_match_listing(g, pairs):
+    """``_node_check`` at each (left, right) of ``pairs(sggi)`` equals the
+    listing reference, witness and actual order included."""
+    sggi, reference = Sggi.from_graph(g), Sggi.from_graph(g)
+    cap = 5_000_000
+    for left, right in pairs(sggi):
+        A, B = sggi.section(left), sggi.section(right)
+        C = sggi.section(set(left) & set(right))
+        assert sggi._node_check(left, right, A, B, C, cap) == \
+            listing_node_check(reference, left, right, cap), (left, right)
+
+
+# -- random graphs and renumbered two-row graphs -------------------------------------
+
+@SETTINGS
+@given(graphs(max_n=7, max_labels=5))
+def test_node_check_matches_listing_on_random_graphs(g):
+    assert_node_checks_match_listing(g, node_pairs)
+
+
+BENCH = bench_workloads()
+TWO_ROW = [family_case(family, params)
+           for family, params in BENCH.WORKLOADS["refute-two-row"].inputs]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("name,g", TWO_ROW, ids=[name for name, _ in TWO_ROW])
+def test_node_check_matches_listing_on_renumbered_two_row_graphs(name, g, k):
+    # the benchmark's seed-7 renumberings move the chain base order, and
+    # so the witness, away from the canonical numbering
+    assert_node_checks_match_listing(BENCH.renumber(g, 7, name, k), interval_nodes)
+
+
 # -- random groups with a shared subgroup -------------------------------------------
 
 def moves(degree):
@@ -140,6 +178,9 @@ def test_backtrack_counts_random_intersections(case):
     for known in (None, K):
         assert intersection_order(G, H, known=known) == expected
         assert intersection_order(H, G, known=known) == expected
+    inter = intersection(G, H)
+    assert inter.order == expected
+    assert all(G.contains(g) and H.contains(g) for g in inter.generators)
 
 
 @st.composite

@@ -1,8 +1,16 @@
-"""The pruned intersection search against the filtered enumeration it replaced.
+"""``intersection_tuples``, the listing reference, against the filtered enumeration.
+
+``intersection_tuples`` lists G ^ H by a pruned depth-first search over the
+smaller group's chain.  The program no longer lists intersections: its one
+walk over G ^ H is the subgroup backtrack ``perm_core._backtrack``.  The
+listing lives here as the reference that the tests of the backtrack, of
+``intersection`` and of the node check compare against: it gives every
+element of G ^ H in the smaller group's enumeration order, so its first
+element outside a subgroup is the witness a node check must report.
 
 The oracle lists every element of the smaller group (G on a tie) and keeps
-those the other group contains.  The search must yield exactly that
-sequence, order included, because witnesses are first elements of it.
+those the other group contains.  The listing must yield exactly that
+sequence, order included.
 """
 
 import itertools
@@ -14,7 +22,14 @@ from hypothesis import strategies as st
 from cprforge import constructions as cons
 from cprforge.cgroup import Sggi, verify_certificate
 from cprforge.errors import IntersectionTooLarge
-from cprforge.perm_core import PermGroup, Permutation, intersection_tuples
+from cprforge.perm_core import (
+    DEFAULT_INTERSECTION_CAP,
+    PermGroup,
+    Permutation,
+    _pruned_search,
+    _search_plan,
+    _smaller_first,
+)
 
 SECTION_ORDER_LIMIT = 50_000
 
@@ -24,6 +39,27 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
 
 def P(text, degree):
     return Permutation.parse(text, degree)
+
+
+def intersection_tuples(G, H, cap=DEFAULT_INTERSECTION_CAP):
+    """The elements of G ^ H as raw tuples, in the smaller group's order.
+
+    A depth-first search over the chain of the smaller group (G on a tie)
+    visits its elements in enumeration order.  The transversal elements of
+    level k and deeper fix every point below the k-th base point, so the
+    product of the first k choices already fixes the images of those
+    points.  Each choice sifts only the points it newly fixes through the
+    other group, and a failed sift prunes the subtree, which then holds no
+    element of G ^ H.
+
+    ``cap`` bounds the search nodes, one per transversal element tried at
+    any depth.  The search raises ``IntersectionTooLarge`` on node cap + 1,
+    after yielding everything found before it.
+    """
+    small, big = _smaller_first(G, H)
+    plan = _search_plan(small._chain, big._sift_range, cap, (G.order, H.order))
+    identity = tuple(range(small.degree))
+    return _pruned_search(plan, 0, identity, identity, [0])
 
 
 def oracle(G, H):

@@ -12,9 +12,10 @@ from cprforge.perm_core import (
     PermGroup,
     Permutation,
     intersection_order,
-    intersection_tuples,
 )
 from cprforge.prg import MAX_DEGREE, LabeledGraph
+
+from test_intersection_search import intersection_tuples
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None, suppress_health_check=[HealthCheck.too_slow])

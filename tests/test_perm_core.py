@@ -22,11 +22,11 @@ from cprforge.perm_core import (
     _is_id,
     _mul,
     intersection,
-    intersection_tuples,
     parity,
 )
 
 from conftest import closure_order, closure_set
+from test_intersection_search import intersection_tuples
 
 
 def P(text, degree):
@@ -166,10 +166,14 @@ def test_intersection_sevenvertex_sections():
 
 
 def test_intersection_cap():
+    # the cap counts backtrack nodes, as in intersection_order and --cap
     gens = [P(f"({i},{i + 1})", 8) for i in range(1, 8)]
     big = PermGroup(gens)
     with pytest.raises(IntersectionTooLarge):
-        intersection(big, big, cap=1000)
+        intersection(big, big, cap=55)
+    inter = intersection(big, big, cap=56)
+    assert inter.order == 40320
+    assert len(inter.generators) == 7
 
 
 def test_intersection_subgroup_and_lagrange():

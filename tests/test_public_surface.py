@@ -121,6 +121,9 @@ UNCALLED_PUBLIC = {
     "Permutation.inverse": "arithmetic of the exported Permutation",
     "Permutation.support": "the moved points of the exported Permutation",
     "PermGroup.elements": "enumeration of the exported PermGroup as Permutations",
+    "intersection_order":
+        "|G ^ H| without listing it, the count of the node check's backtrack "
+        "for a caller that needs no witness",
     "LabeledGraph.shift_labels":
         "moves a glued graph's label window onto the paper's numbering",
     "LabeledGraph.check_shape_lemma":
