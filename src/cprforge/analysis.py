@@ -1,9 +1,11 @@
-"""Structural diagnostics: fracture graphs, splits, fingerprints, witnesses.
+"""Structural diagnostics: fracture graphs, splits, fingerprints, and the
+paper's refutation witness.
 
 Orbits of label-deleted subgroups coincide with connected components of the
 label-deleted subgraph, so fracture graphs and splits are computed purely
-graph-theoretically; group orders only enter the fingerprint and witness
-checks.
+graph-theoretically; group orders only enter the fingerprint.  The witness
+is only built here: ``cgroup.verify_certificate`` re-checks it as the
+certificate of the failing node.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .cgroup import Sggi
 from .errors import NoFractureGraph
 from .perm_core import PermGroup, Permutation
 from .prg import LabeledGraph
-from . import constructions
 
 
 # ---------------------------------------------------------------------------
@@ -250,56 +250,18 @@ def fingerprint(group: PermGroup) -> Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# the refutation witness
+# the paper's refutation witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Membership outcome for the refutation witness of the two-row graph.
-
-    ``sigma`` is the product of the vertical (h+1)-edge transpositions,
-    i.e. the (h+1) generator with its top-row transposition (a,b) removed.
-    It must lie in the sections kept on 0..h+1 and on 1..h+2 but escape the
-    expected meet section kept on 1..h+1.
-    """
-
-    r: int
-    h: int
-    sigma: Permutation
-    a: int
-    b: int
-    in_low: bool          # sigma in <rho_0 .. rho_{h+1}>
-    in_high: bool         # sigma in <rho_1 .. rho_{h+2}>
-    in_meet: bool         # sigma in <rho_1 .. rho_{h+1}>
-    order_low: int
-    order_high: int
-    order_meet: int
-
-    @property
-    def ok(self) -> bool:
-        return self.in_low and self.in_high and not self.in_meet
-
-
 def graph_x_witness(r: int, h: int) -> Permutation:
-    """The witness permutation: the r-h-2 vertical transpositions."""
+    """The paper's sigma for the two-row graph X(r, h): the r-h-2 vertical
+    transpositions, i.e. the (h+1) generator with its top-row transposition
+    (2h+2, 2h+3) removed.
+
+    It lies in the sections kept on 0..h+1 and on 1..h+2 but not in their
+    meet kept on 1..h+1, so it is the witness of a failing certificate at
+    that node; ``cgroup.verify_certificate`` re-checks it.
+    """
     pairs = [(2 * h + 3 + j, r + h + 1 + j) for j in range(1, r - h - 1)]
     return Permutation.from_cycles(2 * r - 1, pairs)
 
-
-def verify_graph_x_witness(r: int, h: int) -> WitnessReport:
-    g = constructions.family_graph_x(r, h)
-    sggi = Sggi.from_graph(g)
-    a, b = 2 * h + 2, 2 * h + 3
-    sigma = graph_x_witness(r, h)
-    low = sggi.section(range(0, h + 2))
-    high = sggi.section(range(1, h + 3))
-    meet = sggi.section(range(1, h + 2))
-    return WitnessReport(
-        r=r, h=h, sigma=sigma, a=a, b=b,
-        in_low=low.contains(sigma),
-        in_high=high.contains(sigma),
-        in_meet=meet.contains(sigma),
-        order_low=low.order,
-        order_high=high.order,
-        order_meet=meet.order,
-    )

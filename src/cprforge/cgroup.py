@@ -412,8 +412,11 @@ class Sggi:
 def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
     """Re-check a failing certificate on its own: three membership tests.
 
-    True iff the witness lies in <rho_left> and in <rho_right> but not in
-    <rho_meet>.  The orders are not recomputed.  A passing certificate has
+    It re-checks the engine's failing certificates (``report`` does so
+    before it prints one) and the paper's sigma for the two-row graph,
+    put in as the witness of the engine's certificate
+    (``paper_cases.case_graph_x_refutation``).  True iff the witness lies
+    in <rho_left> and in <rho_right> but not in <rho_meet>.  The orders are not recomputed.  A passing certificate has
     no witness to re-check and raises ``ValueError``.
     """
     if cert.ok:

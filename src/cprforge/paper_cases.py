@@ -10,12 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from . import constructions as cons
-from .analysis import find_splits, fracture_graph, verify_graph_x_witness
-from .cgroup import Sggi
+from .analysis import find_splits, fracture_graph, graph_x_witness
+from .cgroup import Sggi, verify_certificate
 from .errors import DegreeMismatch
 from .perm_core import PermGroup, Permutation, intersection
 from .prg import LabeledGraph, canonical_form
@@ -112,6 +112,8 @@ def case_theorem1_simplex_grid() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 def case_graph_x_refutation() -> CaseResult:
+    """The engine fails at the paper's node, and the paper's sigma
+    re-checks as that node's certificate."""
     case = CaseResult("graph-x-refutation")
     for r, h in ((5, 1), (6, 1), (6, 2)):
         g = cons.family_graph_x(r, h)
@@ -121,21 +123,20 @@ def case_graph_x_refutation() -> CaseResult:
                    f"graph_x({r},{h}) order != (2r-1)!")
         cert = sggi.check_ip_recursive()
         case.check(not cert.ok, f"graph_x({r},{h}) unexpectedly satisfies the IP")
-        witness = verify_graph_x_witness(r, h)
-        case.check(witness.in_low,
-                   f"graph_x({r},{h}) witness escapes the 0..h+1 section")
-        case.check(witness.in_high,
-                   f"graph_x({r},{h}) witness escapes the 1..h+2 section")
-        case.check(not witness.in_meet,
-                   f"graph_x({r},{h}) witness lies in the 1..h+1 section")
+        low, high, meet = range(0, h + 2), range(1, h + 3), range(1, h + 2)
+        case.check((cert.left, cert.right) == (tuple(low), tuple(high)),
+                   f"graph_x({r},{h}) first fails at {cert.left} vs {cert.right}")
+        sigma = graph_x_witness(r, h)
+        case.check(not cert.ok and verify_certificate(
+                       sggi, replace(cert, witness=sigma)),
+                   f"graph_x({r},{h}) witness does not re-check")
         # independent route: exhaustive enumeration of the meet section
-        meet = sggi.section(range(1, h + 2))
-        enumerated = set(meet.element_tuples())
-        case.check(witness.sigma._img not in enumerated,
+        enumerated = set(sggi.section(meet).element_tuples())
+        case.check(sigma._img not in enumerated,
                    f"graph_x({r},{h}) witness found by exhaustive enumeration")
+        orders = "/".join(str(sggi.section(k).order) for k in (low, high, meet))
         case.note(f"graph_x({r},{h}): order {math.factorial(2 * r - 1)}, "
-                  f"witness {witness.sigma.cycle_string()}, section orders "
-                  f"{witness.order_low}/{witness.order_high}/{witness.order_meet}")
+                  f"witness {sigma.cycle_string()}, section orders {orders}")
     return case
 
 

@@ -655,8 +655,10 @@ class PermGroup:
            Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
         4. An odd generator then gives Sym(O).
 
-        The sequence starts from the inputs, ``generators``, and its
-        indices come from a fixed seed and their number, so randomness
+        The sequence starts from the inputs, ``generators``, in one slot
+        each (at least 10 slots).  It runs 80 steps, and 5 per slot past 16
+        slots, so a group of many generators gets mixed as well.  Its
+        indices come from a fixed seed and the number of slots, so randomness
         decides only whether a group is certified, never its order.
         Renumbering the points conjugates every element of the sequence,
         which keeps its cycle lengths, so it does not change the outcome.
@@ -677,7 +679,7 @@ class PermGroup:
         slots = [gens[i % len(gens)]._img for i in range(max(10, len(gens)))]
         acc = tuple(range(self.degree))
         rng = random.Random(13)
-        for step in range(80):
+        for step in range(max(80, 5 * len(slots))):
             i, j = rng.sample(range(len(slots)), 2)
             slots[i] = _mul(slots[i], slots[j])
             acc = _mul(acc, slots[i])

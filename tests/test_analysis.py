@@ -1,12 +1,13 @@
 """Fracture graphs, splits, fingerprints and the refutation witness."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cprforge import constructions as cons
+from cprforge import constructions as cons, paper_cases
 from cprforge.analysis import (
     SplitReport,
     _label_deleted,
@@ -15,11 +16,10 @@ from cprforge.analysis import (
     fracture_graph,
     graph_x_witness,
     is_perfect_split,
-    verify_graph_x_witness,
 )
-from cprforge.cgroup import Sggi
+from cprforge.cgroup import Sggi, verify_certificate
 from cprforge.errors import NoFractureGraph
-from cprforge.perm_core import Permutation, compose
+from cprforge.perm_core import PermGroup, Permutation, compose
 from cprforge.prg import LabeledGraph
 
 from conftest import closure_set
@@ -334,6 +334,19 @@ def test_fingerprint_union_nonexample():
     assert fp.named_match.name == "SaxSb"
 
 
+@pytest.mark.parametrize("cycles, match", [
+    # Sym on the orbit {1,2,3} times a cyclic group on {4..7}
+    ([(1, 2), (2, 3), (4, 5, 6, 7)], ("StxH", {"t": 3, "h_order": 4})),
+    # C3 x C4 factorizes, but no orbit induces its symmetric group
+    ([(1, 2, 3), (4, 5, 6, 7)], None),
+], ids=["StxH", "no-symmetric-orbit"])
+def test_fingerprint_factorized_intransitive(cycles, match):
+    fp = fingerprint(PermGroup([Permutation.from_cycles(7, [c]) for c in cycles]))
+    assert fp.factorization_check
+    named = fp.named_match and (fp.named_match.name, fp.named_match.params)
+    assert named == match
+
+
 CROSS_TABLE = [
     # family instance, expected match, expected string-C-group verdict
     (cons.simplex(5), ("S_n", {"n": 6}), True),
@@ -368,32 +381,38 @@ def test_witness_construction_matches_generator_decomposition():
 
 
 def test_witness_memberships():
-    report = verify_graph_x_witness(5, 1)
-    assert report.sigma == Permutation.parse("(6,8)(7,9)", 9)
-    assert report.ok
-    assert report.in_low and report.in_high and not report.in_meet
-    assert report.order_meet == 12
-    for r, h in ((6, 1), (6, 2)):
-        assert verify_graph_x_witness(r, h).ok
+    """The engine fails first at the paper's node, kept labels 0..h+1 vs
+    1..h+2, and the paper's sigma re-checks as that node's witness."""
+    assert graph_x_witness(5, 1) == Permutation.parse("(6,8)(7,9)", 9)
+    for r, h in ((5, 1), (6, 1), (6, 2)):
+        sggi = Sggi.from_graph(cons.family_graph_x(r, h))
+        cert = sggi.check_ip_recursive()
+        assert not cert.ok
+        assert (cert.left, cert.right) == (tuple(range(0, h + 2)), tuple(range(1, h + 3)))
+        assert cert.meet == tuple(range(1, h + 2))
+        assert verify_certificate(sggi, replace(cert, witness=graph_x_witness(r, h)))
+        if (r, h) == (5, 1):
+            assert cert.expected_order == sggi.section(cert.meet).order == 12
 
 
 def test_witness_negative_membership_by_enumeration():
-    report = verify_graph_x_witness(5, 1)
     sggi = Sggi.from_graph(cons.family_graph_x(5, 1))
     gens = [sggi.generator(l) for l in range(1, 3)]
-    assert report.sigma not in closure_set(gens, 9)
+    assert graph_x_witness(5, 1) not in closure_set(gens, 9)
 
 
-def test_witness_implies_recursive_failure():
-    for r, h in ((5, 1), (6, 2)):
-        assert verify_graph_x_witness(r, h).ok
-        cert = Sggi.from_graph(cons.family_graph_x(r, h)).check_ip_recursive()
-        assert not cert.ok
+@pytest.mark.parametrize("label", ["1", "r-1"])
+def test_refutation_case_rechecks_the_witness(monkeypatch, label):
+    """A wrong sigma fails the case: the label-1 involution lies in the
+    meet, the label r-1 involution outside the 0..h+1 section."""
+    def wrong(r, h):
+        return cons.family_graph_x(r, h).generator_of_label(1 if label == "1" else r - 1)
 
-
-def test_witness_range_check():
-    with pytest.raises(ValueError):
-        verify_graph_x_witness(4, 1)
+    monkeypatch.setattr(paper_cases, "graph_x_witness", wrong)
+    case = paper_cases.case_graph_x_refutation()
+    assert not case.ok
+    for r, h in ((5, 1), (6, 1), (6, 2)):
+        assert f"FAIL graph_x({r},{h}) witness does not re-check" in case.lines
 
 
 def test_fingerprint_computes_block_systems_once(monkeypatch):

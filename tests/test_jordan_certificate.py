@@ -7,7 +7,7 @@ theorem gives Alt(O), and the odd generator gives the rest.  Such a group is
 certified at construction and builds no chain until one is read.
 
 Every group certified here is compared with a chain built eagerly from the
-same generators (order, orbits, membership), and the two largest with
+same generators (order, orbits, membership), and three large ones with
 sympy.  The near misses are groups that a weaker rule would certify: each
 fails one condition and must be left to its chain.
 """
@@ -91,7 +91,7 @@ def test_graph_x_groups_match_eager(r):
                 assert_matches_eager(group, gens, sggi.degree, rng)
 
 
-@pytest.mark.parametrize("r, h", [(19, 9), (21, 10)])
+@pytest.mark.parametrize("r, h", [(19, 9), (21, 10), (31, 3)])
 def test_large_two_row_groups_match_sympy(r, h):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     sggi = Sggi.from_graph(cons.family_graph_x(r, h))
@@ -100,6 +100,20 @@ def test_large_two_row_groups_match_sympy(r, h):
     expected = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(g._img)) for g in sggi.generators()]).order()
     assert group.order == expected == math.factorial(2 * r - 1)
+
+
+# -- the step budget at high rank -------------------------------------------------------
+# With 30 or more sparse involutions, 80 steps do not mix: the whole groups of
+# graph_x(31,3), (41,5) and (41,20) first show a prime cycle at steps 95, 117
+# and 132, past a fixed budget of 80, and would each build a Sym(n) chain
+# (about 12 s on graph_x(31,3)).  The chain-only reference run leaves them out
+# for that reason; sympy takes 13-15 s on each of the two larger ones.
+
+@pytest.mark.parametrize("r, h", [(41, 5), (41, 20)])
+def test_high_rank_whole_groups_are_certified(r, h):
+    group = Sggi.from_graph(cons.family_graph_x(r, h)).group()
+    assert jordan_certified(group)
+    assert group.order == math.factorial(2 * r - 1)
 
 
 # -- random groups of degree 8-20 ------------------------------------------------------

@@ -113,9 +113,6 @@ UNCALLED_PUBLIC = {
     "Sggi.dual": "the paper's dual of an sggi that has no graph, as after "
                  "a sesqui-extension",
     "Sggi.generators": "the exported Sggi's involutions in label order",
-    "WitnessReport.ok":
-        "the two-row refutation's verdict: the witness lies in both sections "
-        "and outside the meet",
     "nonexample_doubleedge_base":
         "the CPR graph under the paper's double-edge pendant non-example",
     "Permutation.inverse": "arithmetic of the exported Permutation",
