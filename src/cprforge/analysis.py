@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 
+from .constructions import _check_graph_x
 from .errors import NoFractureGraph
 from .perm_core import PermGroup, Permutation
 from .prg import LabeledGraph
@@ -260,8 +261,10 @@ def graph_x_witness(r: int, h: int) -> Permutation:
 
     It lies in the sections kept on 0..h+1 and on 1..h+2 but not in their
     meet kept on 1..h+1, so it is the witness of a failing certificate at
-    that node; ``cgroup.verify_certificate`` re-checks it.
+    that node; ``cgroup.verify_certificate`` re-checks it.  It refuses the
+    parameters that ``family_graph_x`` refuses.
     """
+    _check_graph_x(r, h)
     pairs = [(2 * h + 3 + j, r + h + 1 + j) for j in range(1, r - h - 1)]
     return Permutation.from_cycles(2 * r - 1, pairs)
 

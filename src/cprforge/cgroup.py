@@ -416,8 +416,9 @@ def verify_certificate(sggi: Sggi, cert: IpCertificate) -> bool:
     before it prints one) and the paper's sigma for the two-row graph,
     put in as the witness of the engine's certificate
     (``paper_cases.case_graph_x_refutation``).  True iff the witness lies
-    in <rho_left> and in <rho_right> but not in <rho_meet>.  The orders are not recomputed.  A passing certificate has
-    no witness to re-check and raises ``ValueError``.
+    in <rho_left> and in <rho_right> but not in <rho_meet>.  The orders
+    are not recomputed.  A passing certificate has no witness to re-check
+    and raises ``ValueError``.
     """
     if cert.ok:
         raise ValueError("only a failing certificate has a witness to re-check")

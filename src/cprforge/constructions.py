@@ -79,6 +79,13 @@ def family_counterexample1(r: int, h: int) -> LabeledGraph:
     return LabeledGraph(r + h + 1, edges)
 
 
+def _check_graph_x(r: int, h: int) -> None:
+    """Refuse parameters outside the two-row graph's range."""
+    if not (r >= 5 and 1 <= h <= r - 4):
+        raise ValueError(
+            f"graph_x needs r >= 5 and 1 <= h <= r-4, got ({r}, {h})")
+
+
 def family_graph_x(r: int, h: int) -> LabeledGraph:
     """The two-row refutation graph on 2r-1 vertices.
 
@@ -86,9 +93,7 @@ def family_graph_x(r: int, h: int) -> LabeledGraph:
     path on vertices r+h+2..2r-1 with labels h+3,...,r-1.  The (h+1)-edges
     join top vertex 2h+3+j to bottom vertex r+h+1+j for j = 1..r-h-2.
     """
-    if not (r >= 5 and 1 <= h <= r - 4):
-        raise ValueError(
-            f"graph_x needs r >= 5 and 1 <= h <= r-4, got ({r}, {h})")
+    _check_graph_x(r, h)
     edges = list(family_counterexample1(r, h).edges)
     for j in range(1, r - h - 2):
         edges.append((h + 2 + j, r + h + 1 + j, r + h + 2 + j))

@@ -35,11 +35,13 @@ Jordan's theorem applies (an odd generator and an element with a prime
 cycle longer than |O|/2 and at most |O| - 3).  ``PermGroup._certified``
 makes that one decision.  A certified group answers order,
 membership and its intersection order with another such group from
-orbits, and builds no chain unless it is enumerated, searched or
-extended by a group that needs one.  Every other group builds its chain
-when it is constructed.  The chain is a cache: a group keeps its inputs
-and its prefix for life, its ``generators`` are those inputs, and none of
-its answers depends on whether, or when, its chain was built.  A
+orbits, and builds no chain unless it is enumerated or searched.  Every
+other group builds its chain when it is constructed, to learn its order.
+A build makes one group's chain: it copies the prefix's chain when that
+one is built, else it inserts every input into an empty chain, and it
+builds no other group's chain.  The chain is a cache: a group keeps its
+inputs and its prefix for life, its ``generators`` are those inputs, and
+none of its answers depends on whether, or when, its chain was built.  A
 ``PermGroup`` is immutable once constructed, apart from that one-time
 chain build.
 """
@@ -181,7 +183,9 @@ class Permutation:
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         img = list(range(degree))
         seen = set()
-        for cycle in cycles:
+        for index, cycle in enumerate(cycles):
+            if not cycle:
+                raise ValueError(f"empty cycle at index {index}")
             for pt in cycle:
                 if not 1 <= pt <= degree:
                     raise ValueError(f"point {pt} outside 1..{degree}")
@@ -341,17 +345,6 @@ class _Chain:
     def __init__(self, degree: int):
         self.degree = degree
         self.layers = {}   # level point (0-based) -> _Layer
-
-    def copy(self) -> "_Chain":
-        """A chain in the same state that grows independently of this one.
-
-        The layers are copied, generator lists included, because inserting
-        appends to the lists and restamps the layers; the transversal dicts
-        are shared (see ``_Layer``).
-        """
-        clone = _Chain(self.degree)
-        clone.layers = {p: layer.copy() for p, layer in self.layers.items()}
-        return clone
 
     # -- queries ------------------------------------------------------------
 
@@ -584,8 +577,10 @@ class PermGroup:
     Immutable after construction apart from that one-time build; safe for
     concurrent reads: a build runs on locals and publishes the chain once.
 
-    ``extends`` (internal) starts from a copy of that group's chain
-    (building it first if needed) and inserts ``generators`` into it.
+    ``extends`` (internal) names the prefix.  A build starts from a copy
+    of the prefix's chain when that chain is built, and inserts this
+    group's own ``generators`` argument into it; else it inserts every
+    input into an empty chain.  It builds no other group's chain.
     Insertion is deterministic in the chain state, so
     ``PermGroup(b, extends=PermGroup(a))`` has the same chain, generators and
     element order as ``PermGroup(a + b)``.
@@ -628,7 +623,6 @@ class PermGroup:
             self._order = sym_order
             self._sym_product = True
             return
-        self._build()
         self._order = self._chain.order()
         self._sym_product = self._order == sym_order
 
@@ -693,7 +687,8 @@ class PermGroup:
 
     @property
     def _chain(self) -> _Chain:
-        return self._state or self._build()
+        return self._state or self._grow(
+            None if self._extends is None else self._extends._state)
 
     @property
     def generators(self) -> tuple:
@@ -709,26 +704,24 @@ class PermGroup:
             group = group._extends
         return tuple(g for part in reversed(parts) for g in part)
 
-    def _build(self) -> _Chain:
-        """Build and publish the chain, after that of every unbuilt prefix.
-
-        Walks the ``extends`` links up to the nearest built group (or the
-        first one) and builds down from there, so each prefix is built once
-        and from its own prefix's chain.
-        """
-        pending = [self]
-        while pending[-1]._extends is not None and pending[-1]._extends._state is None:
-            pending.append(pending[-1]._extends)
-        prefix = pending[-1]._extends
-        chain = None if prefix is None else prefix._state
-        for group in reversed(pending):
-            chain = group._grow(chain)
-        return chain
-
     def _grow(self, prefix_chain: _Chain | None) -> _Chain:
-        """Insert the inputs into a copy of the prefix's chain; publish once."""
-        chain = _Chain(self.degree) if prefix_chain is None else prefix_chain.copy()
-        for g in self._new:
+        """Build this group's chain, and no other group's; publish it once.
+
+        Given its prefix's chain, the build copies it and inserts this
+        group's own inputs; given ``None``, it inserts every input,
+        ``generators``, into an empty chain.  Insertion is deterministic in
+        the chain state, so both give the same chain.  The copy's layers
+        are copied, generator lists included, because inserting appends to
+        the lists and restamps the layers; the transversal dicts are shared
+        (see ``_Layer``).
+        """
+        chain = _Chain(self.degree)
+        if prefix_chain is None:
+            inputs = self.generators
+        else:
+            chain.layers = {p: layer.copy() for p, layer in prefix_chain.layers.items()}
+            inputs = self._new
+        for g in inputs:
             chain.insert(g._img)
         with PermGroup._publish_lock:
             if self._state is None:

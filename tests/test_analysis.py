@@ -401,6 +401,17 @@ def test_witness_negative_membership_by_enumeration():
     assert graph_x_witness(5, 1) not in closure_set(gens, 9)
 
 
+@pytest.mark.parametrize("r, h", [(4, 1), (3, 1), (5, 2)])
+def test_witness_refuses_what_the_graph_refuses(r, h):
+    with pytest.raises(ValueError) as graph_error:
+        cons.family_graph_x(r, h)
+    with pytest.raises(ValueError) as witness_error:
+        graph_x_witness(r, h)
+    assert str(witness_error.value) == str(graph_error.value)
+    assert str(graph_error.value) == (
+        f"graph_x needs r >= 5 and 1 <= h <= r-4, got ({r}, {h})")
+
+
 @pytest.mark.parametrize("label", ["1", "r-1"])
 def test_refutation_case_rechecks_the_witness(monkeypatch, label):
     """A wrong sigma fails the case: the label-1 involution lies in the

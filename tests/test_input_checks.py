@@ -22,6 +22,10 @@ def P(text, degree):
     (lambda: Permutation([1, 1]), ValueError, "not a permutation"),
     (lambda: P("(1,a)", 3), ValueError, "bad cycle notation"),
     (lambda: P("(1)", 3), ValueError, "bad cycle notation"),
+    (lambda: Permutation.from_cycles(3, [()]), ValueError,
+     "empty cycle at index 0"),
+    (lambda: Permutation.from_cycles(4, [(1, 2), []]), ValueError,
+     "empty cycle at index 1"),
     (lambda: PermGroup([P("(1,2)", 3), P("(1,2)", 4)]), DegreeMismatch,
      "generator degree 4"),
     (lambda: PermGroup([P("(1,2)", 4)], extends=PermGroup([P("(1,2)", 3)])),
@@ -32,13 +36,18 @@ def P(text, degree):
      "label 0: degree 3"),
     (lambda: LabelWindow(2, 1), ValueError, "empty label window"),
 ], ids=["prg-field", "negative-vertices", "repeated-image", "cycle-letter",
-        "cycle-singleton", "mixed-generators", "extends-degree",
-        "intersection-degrees", "sggi-degree", "empty-window"])
+        "cycle-singleton", "empty-cycle", "empty-later-cycle", "mixed-generators",
+        "extends-degree", "intersection-degrees", "sggi-degree", "empty-window"])
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=message) as info:
         call()
     if error is PrgSyntaxError:
         assert info.value.line == 2
+
+
+def test_from_cycles_accepts_one_cycles():
+    assert Permutation.from_cycles(3, [(2,)]) == Permutation.identity(3)
+    assert Permutation.from_cycles(3, [(1, 3), (2,)]) == P("(1,3)", 3)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 """Permutation arithmetic and group-engine behavior."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,23 @@ def test_compose_identity_law():
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         compose(P("(1,2)", 2), P("(1,2)", 3))
+
+
+def test_inverse_undoes_the_permutation():
+    rng = random.Random(0)
+    for n in range(13):
+        identity = Permutation.identity(n)
+        perms = [identity, Permutation([*range(2, n + 1), 1]) if n else identity]
+        for _ in range(8):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        for p in perms:
+            q = p.inverse()
+            assert q.degree == n
+            assert p * q == identity and q * p == identity, (n, p)
+            assert q.inverse() == p
+            assert all(q.apply(p.apply(x)) == x for x in range(1, n + 1)), (n, p)
 
 
 def test_element_order():
