@@ -27,23 +27,29 @@ orbits join the point pairs (x, g(x)) of its input generators onto its
 prefix's orbits, and its transposition components do the same for its
 transposition inputs onto its prefix's components.  Block systems are
 computed for transitive groups only; a certified one is Sym(n), with none.
+Block systems and the certificate's transposition closure are the finest
+generator-invariant partitions joining given pairs, from one loop
+(``_closure``) over the same union-find.
 
 A group is certified as the full product of its orbits' symmetric groups
-when it is constructed, by one of two tiers: its transposition components
-are its orbits, or it moves a single orbit O of at least 8 points and
-Jordan's theorem applies (an odd generator and an element with a prime
-cycle longer than |O|/2 and at most |O| - 3).  ``PermGroup._certified``
-makes that one decision.  A certified group answers order,
-membership and its intersection order with another such group from
-orbits, and builds no chain unless it is enumerated or searched.  Every
-other group builds its chain when it is constructed, to learn its order.
-A build makes one group's chain: it copies the prefix's chain when that
-one is built, else it inserts every input into an empty chain, and it
-builds no other group's chain.  The chain is a cache: a group keeps its
-inputs and its prefix for life, its ``generators`` are those inputs, and
-none of its answers depends on whether, or when, its chain was built.  A
-``PermGroup`` is immutable once constructed, apart from that one-time
-chain build.
+when it is constructed, by one rule, ``PermGroup._certified``: after the
+one comparison of its transposition components with its orbits, the
+generators' sign vectors, one parity bit per moved orbit, must span
+F_2^k, and each orbit's projection must be shown to be its symmetric
+group, either by the conjugates of the transpositions among the
+generators' restrictions to it, which connect it, or, on 8 points or
+more, by Jordan's theorem (an element with a prime cycle inside the
+orbit longer than half of it and at most its size minus 3).  A certified
+group answers order, membership and its intersection order with another
+such group from orbits, and builds no chain unless it is enumerated or
+searched.  Every other group builds its chain when it is constructed, to
+learn its order.  A build makes one group's chain: it copies the
+prefix's chain when that one is built, else it inserts every input into
+an empty chain, and it builds no other group's chain.  The chain is a
+cache: a group keeps its inputs and its prefix for life, its
+``generators`` are those inputs, and none of its answers depends on
+whether, or when, its chain was built.  A ``PermGroup`` is immutable once
+constructed, apart from that one-time chain build.
 """
 
 from __future__ import annotations
@@ -94,10 +100,12 @@ def _joined(ids: tuple, pairs: list) -> tuple:
 
     A partition of 0..n-1 is given by block ids that number the blocks by
     their least points, as ``PermGroup._orbit_id`` does; so is the result.
-    This union-find is the one way the package partitions points: orbits,
-    transposition components, block systems and graph components.  Its
-    nodes are the blocks of ``ids``, whose order is that of their least
-    points, so the least root of a joined class is its least block.
+    Its union-find, ``_union`` and ``_root``, is the one way the package
+    partitions points: orbits, transposition components and graph
+    components here, block systems and the certificate's transposition
+    closure in ``_closure``.  Its nodes are the blocks of ``ids``, whose
+    order is that of their least points, so the least root of a joined
+    class is its least block.
     """
     if not pairs:
         return ids
@@ -146,6 +154,29 @@ def _union(parent: list, x: int, y: int) -> bool:
     return True
 
 
+def _closure(degree: int, gen_imgs: list, pairs: list) -> list:
+    """The finest partition of 0..degree-1 that joins each pair's points and
+    that every image tuple in ``gen_imgs`` maps onto itself.
+
+    Each point's class is named by its least point.  It is the component
+    partition of the pairs and all their images under words in the tuples:
+    a pair whose points were apart joins the queue, and its images are
+    joined in turn.  Block systems and the certificate's transposition
+    closure both come from this loop.
+    """
+    parent = list(range(degree))
+    queue = [(x, y) for x, y in pairs if _union(parent, x, y)]
+    head = 0
+    while head < len(queue):
+        x, y = queue[head]
+        head += 1
+        for img in gen_imgs:
+            sx, sy = img[x], img[y]
+            if _union(parent, sx, sy):
+                queue.append((sx, sy))
+    return [_root(parent, x) for x in range(degree)]
+
+
 def _cells(ids: Iterable) -> tuple:
     """The 1-based cells of a partition given by block ids, by least point."""
     cells = {}
@@ -157,7 +188,7 @@ def _cells(ids: Iterable) -> tuple:
 class Permutation:
     """A bijection of {1..n} stored as an image sequence."""
 
-    __slots__ = ("_img",)
+    __slots__ = ("_img", "_cycle_tuples")
 
     def __init__(self, images: Sequence[int]):
         """Build from 1-based images: position p holds the image of point p."""
@@ -266,6 +297,14 @@ class Permutation:
                 j = img[j]
             out.append(tuple(cycle))
         return out
+
+    def _cycles0(self) -> tuple:
+        """``cycles`` on 0-based points, computed on first use and kept."""
+        try:
+            return self._cycle_tuples
+        except AttributeError:
+            self._cycle_tuples = tuple(tuple(x - 1 for x in c) for c in self.cycles())
+            return self._cycle_tuples
 
     def cycle_string(self) -> str:
         cycles = self.cycles()
@@ -555,16 +594,18 @@ class PermGroup:
 
     The constructor first joins the input generators onto the prefix's
     orbits, and the transposition inputs onto the prefix's transposition
-    components, by the one join loop ``_join_moves``; it then tries two
-    certificates, cheapest first.  Transpositions whose graph connects a
-    point set O generate Sym(O) (Wielandt, *Finite Permutation Groups*,
-    Thm 13.3), and the transposition components always refine the orbits;
-    so when they are the orbits, the group is exactly the product of the
-    orbits' symmetric groups.  Failing that, a group moving one orbit O,
-    |O| = m >= 8, is Sym(O) when it has an odd generator and an element
-    with a cycle of prime length p, m/2 < p <= m - 3: such a p-cycle makes
-    a transitive group primitive, and a primitive group with a p-cycle,
-    p <= m - 3, contains Alt(O) (Jordan; Wielandt, Thm 13.9).  A certified
+    components, by the one join loop ``_join_moves``; it then tries the
+    product certificate, ``_certified``.  Transpositions whose graph
+    connects a point set O generate Sym(O) (Wielandt, *Finite Permutation
+    Groups*, Thm 13.3), and the transposition components always refine the
+    orbits; so when they are the orbits, the group is exactly the product
+    of the orbits' symmetric groups, which one comparison shows.  Failing
+    that, a group moving the orbits O_1 .. O_k is that product when its
+    generators' sign vectors span F_2^k and each projection onto an orbit
+    is the orbit's symmetric group: shown by the conjugates of the
+    transpositions among the generators' restrictions, or, for |O_i| >= 8,
+    by an element with a cycle of prime length p inside O_i,
+    |O_i|/2 < p <= |O_i| - 3 (Jordan; Wielandt, Thm 13.9).  A certified
     group takes its order, membership test and block systems (none, when
     it is transitive) from its orbits and leaves its chain unbuilt; the
     chain is built the first time ``_chain`` is read, by the same
@@ -629,47 +670,110 @@ class PermGroup:
     # -- the certificate ----------------------------------------------------
 
     def _certified(self) -> bool:
-        """True when the group is shown to be the product of its orbits'
-        symmetric groups, by the first tier that applies.
+        """True when the group is shown to be Sym(O_1) x ... x Sym(O_k), the
+        product of the symmetric groups of the orbits O_1 .. O_k it moves.
 
-        The transposition tier: the transposition components are the orbits.
-        The Jordan tier, for a group moving one orbit O: |O| = m >= 8, an odd
-        generator, and an element with a cycle of prime length p,
-        m/2 < p <= m - 3, among a fixed product-replacement sequence.  The
-        Jordan tier is exact:
+        The first test is one comparison: the transposition components are
+        the orbits.  Failing that, the product rule certifies G when
 
-        1. The element's other cycles are shorter than p, so their lengths
-           are coprime to p; raising it to their lcm leaves a p-cycle.
+        (i) the sign vectors of the generators, one parity bit per moved
+            orbit, span F_2^k, and
+        (ii) every projection pi_i(G), the action on O_i, is shown to be
+             Sym(O_i), by (alpha) or (beta):
+
+             (alpha) the transpositions among the generators' restrictions
+                     to O_i, closed under conjugation by the generators,
+                     connect O_i;
+             (beta)  |O_i| = m >= 8, and an element of a fixed
+                     product-replacement sequence has, inside O_i, a cycle
+                     of prime length p, m/2 < p <= m - 3.
+
+        The tests run cheapest first, so a refusal is cheap: (i) is one F_2
+        elimination, (alpha) one union-find closure, after which an orbit of
+        3-7 points left split refuses at once, and (beta) one sequence for
+        every orbit still open.
+
+        The lemma: if pi_i(G) = Sym(O_i) for every i and the sign map is
+        onto F_2^k, then G is the product.  By induction on k, the
+        projection H of G onto O_1 .. O_(k-1) meets both hypotheses, so it
+        is the product over those orbits.  N = {x : (1, x) in G} is normal
+        in pi_k(G) = Sym(O_k).  Take (y, x) in G with sign vector e_k: y is
+        even on every orbit, so it lies in prod Alt(O_i), the derived
+        subgroup of H (Sym(m)' = Alt(m) for every m), and it is a product of
+        commutators in H.  The same commutators of lifts to G give (y, x')
+        in G with x' even, so x x'^-1 is an odd element of N.  Every proper
+        normal subgroup of Sym(m) lies in Alt(m) (they are 1, Alt(m), and
+        V_4 when m = 4), so N = Sym(O_k) and G = H x Sym(O_k).
+
+        (alpha) is exact.  A generator whose restriction to O_i moves two
+        points restricts to a transposition of pi_i(G).  The finest
+        partition that joins those pairs and that every generator maps onto
+        itself is the component partition of all their conjugates
+        (``_closure``), each a transposition of pi_i(G); transpositions
+        whose graph connects O_i generate Sym(O_i) (Wielandt, *Finite
+        Permutation Groups*, 1964, Thm 13.3).  A 2-point orbit always
+        passes.
+
+        (beta) is exact, applied to pi_i(G), which is transitive on O_i:
+
+        1. Inside O_i the element's other cycles are shorter than p, so
+           their lengths are coprime to p; raising its restriction to their
+           lcm leaves a p-cycle of pi_i(G).  Its cycles on other orbits play
+           no part in pi_i(G).
         2. A transitive group holding a p-cycle c with p > m/2 is primitive.
            Across a block system, c either moves some block, and then
            permutes at least p > m/2 blocks, so the blocks are points; or it
            fixes every block, and then its p points lie in one block of size
-           more than m/2, which is all of O.
+           more than m/2, which is all of O_i.
         3. A primitive group holding a p-cycle with p <= m - 3 contains
-           Alt(O) (Jordan; Wielandt, *Finite Permutation Groups*, Thm 13.9).
-        4. An odd generator then gives Sym(O).
+           Alt(O_i) (Jordan; Wielandt, Thm 13.9).
+        4. By (i) some generator is odd on O_i, which gives Sym(O_i).
 
         The sequence starts from the inputs, ``generators``, in one slot
         each (at least 10 slots).  It runs 80 steps, and 5 per slot past 16
-        slots, so a group of many generators gets mixed as well.  Its
-        indices come from a fixed seed and the number of slots, so randomness
-        decides only whether a group is certified, never its order.
-        Renumbering the points conjugates every element of the sequence,
-        which keeps its cycle lengths, so it does not change the outcome.
-        Such a prime exists for every m >= 8 (Ramanujan's sharpening of
-        Bertrand's postulate).
+        slots, so a group of many generators gets mixed as well; the first
+        20 steps only mix.  Its indices come from a fixed seed and the
+        number of slots, so randomness decides only whether a group is
+        certified, never its order.  Renumbering the points conjugates every
+        element of the sequence, which keeps its cycle lengths, so it does
+        not change the outcome.  Such a prime exists for every m >= 8
+        (Ramanujan's sharpening of Bertrand's postulate).  For one orbit,
+        (i) and (beta) are Jordan's criterion alone.
         """
         if self._tcomp == self._orbit_id:
             return True
+        ids = self._orbit_id
         moved = [o for o in self._orbits if len(o) > 1]
-        if len(moved) != 1 or len(moved[0]) < 8:
-            return False
-        m = len(moved[0])
         gens = self.generators
-        if not any(parity(g) == "odd" for g in gens):
+        if len(gens) < len(moved):
             return False
-        primes = {p for p in range(m // 2 + 1, m - 2)
-                  if all(p % d for d in range(2, math.isqrt(p) + 1))}
+        bits = {ids[o[0] - 1]: 1 << i for i, o in enumerate(moved)}
+        basis = {}          # the sign vectors so far, reduced, by top bit
+        pairs = []          # generators restricted to an orbit as a transposition
+        for g in gens:
+            sign, cycles = 0, {}
+            for c in g._cycles0():
+                orbit = ids[c[0]]
+                if len(c) % 2 == 0:
+                    sign ^= bits[orbit]
+                cycles.setdefault(orbit, []).append(c)
+            pairs += [c[0] for c in cycles.values() if len(c) == 1 and len(c[0]) == 2]
+            while sign and sign.bit_length() in basis:
+                sign ^= basis[sign.bit_length()]
+            if sign:
+                basis[sign.bit_length()] = sign
+        if len(basis) < len(moved):
+            return False
+        roots = _closure(self.degree, [g._img for g in gens], pairs)
+        split = [o for o in moved if any(roots[x - 1] != o[0] - 1 for x in o)]
+        if any(len(o) < 8 for o in split):
+            return False
+        # orbit id -> the primes p, m/2 < p <= m - 3, of each orbit still open
+        primes = {ids[o[0] - 1]: {p for p in range(len(o) // 2 + 1, len(o) - 2)
+                                  if all(p % d for d in range(2, math.isqrt(p) + 1))}
+                  for o in split}
+        if not primes:
+            return True
         slots = [gens[i % len(gens)]._img for i in range(max(10, len(gens)))]
         acc = tuple(range(self.degree))
         rng = random.Random(13)
@@ -677,9 +781,12 @@ class PermGroup:
             i, j = rng.sample(range(len(slots)), 2)
             slots[i] = _mul(slots[i], slots[j])
             acc = _mul(acc, slots[i])
-            # the first 20 steps only mix
-            if step >= 20 and not primes.isdisjoint(
-                    map(len, Permutation._from_tuple(acc).cycles())):
+            if step < 20:
+                continue
+            for c in Permutation._from_tuple(acc).cycles():
+                if len(c) in primes.get(ids[c[0] - 1], ()):
+                    del primes[ids[c[0] - 1]]
+            if not primes:
                 return True
         return False
 
@@ -796,18 +903,7 @@ class PermGroup:
     def _finest_block_system_with(self, gen_imgs: list, a: int, b: int) -> BlockSystem:
         """Finest partition invariant under the image tuples ``gen_imgs`` that
         places 0-based points a and b together."""
-        parent = list(range(self.degree))
-        queue = [(a, b)]
-        _union(parent, a, b)
-        head = 0
-        while head < len(queue):
-            x, y = queue[head]
-            head += 1
-            for img in gen_imgs:
-                sx, sy = img[x], img[y]
-                if _union(parent, sx, sy):
-                    queue.append((sx, sy))
-        return BlockSystem(_cells([_root(parent, x) for x in range(self.degree)]))
+        return BlockSystem(_cells(_closure(self.degree, gen_imgs, [(a, b)])))
 
     def minimal_block_systems(self) -> list:
         """All minimal nontrivial block systems of a transitive group, by

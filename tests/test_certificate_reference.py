@@ -8,10 +8,11 @@ the chain alone.  They must equal the normal reports, timings aside, on:
 * the named corpus, in both modes;
 * the benchmark's inputs, at their canonical numbering and under two
   renumberings drawn as the benchmark draws them;
-* larger members of the ladder, two-row and wreath families, each under
-  one such renumbering;
+* larger members of the ladder, two-row and wreath families and of the
+  two-piece gluing ``counterexample1``, each under one such renumbering;
 * connected graphs on 8-10 vertices whose every label has exactly two
-  edges, so every generator is even and the Jordan tier must refuse them.
+  edges, so every generator is even and the product rule's sign test must
+  refuse them.
 """
 
 import random
@@ -37,9 +38,12 @@ BENCH_INPUTS = {
 }
 
 
-# lemme1 and simplex sampled, graph_x at its lowest, middle and highest h;
-# the whole set costs about 7 s of chain-only and normal reports on 2 x86 cores
-LARGE_INPUTS = ([("lemme1", {"r": r}) for r in (8, 10, 13)]
+# lemme1 and simplex sampled, graph_x at its lowest, middle and highest h,
+# and the two-piece gluing counterexample1, whose sections the product rule
+# certifies; the whole set costs about 8 s of chain-only and normal reports
+# on 2 x86 cores
+LARGE_INPUTS = ([("lemme1", {"r": r}) for r in (8, 10, 13, 15)]
+                + [("counterexample1", {"r": r, "h": h}) for r, h in ((8, 3), (10, 4))]
                 + [("graph_x", {"r": r, "h": h}) for r in (9, 11, 13)
                    for h in (1, (r - 3) // 2, r - 4)]
                 + [("wreathsimp", {"r": r}) for r in range(7, 13)]

@@ -186,15 +186,18 @@ def test_random_transposition_lists_match_eager(drawn):
 
 def test_extending_an_unbuilt_certified_prefix():
     t = [Permutation.from_cycles(6, [(a, a + 1)]) for a in range(1, 6)]
-    prefix = PermGroup(t[:3], degree=6)
+    flip = Permutation.from_cycles(4, [(1, 3)])
+    prefix = PermGroup([flip], degree=4)
     assert certified(prefix)
-    # a double transposition leaves the extension uncertified, so its
-    # constructor builds its own chain from every input, not the prefix's
-    double = Permutation.from_cycles(6, [(1, 5), (4, 6)])
-    grown = PermGroup([double], degree=6, extends=prefix)
+    # a 4-cycle makes the extension the dihedral group of order 8, which
+    # stays uncertified, so its constructor builds its own chain from every
+    # input, not the prefix's
+    rotation = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+    grown = PermGroup([rotation], degree=4, extends=prefix)
     assert certified(prefix) and not certified(grown)
-    assert chain_state(prefix) == chain_state(eager(t[:3], 6))
-    assert chain_state(grown) == chain_state(eager(t[:3] + [double], 6))
+    assert grown.order == 8
+    assert chain_state(prefix) == chain_state(eager([flip], 4))
+    assert chain_state(grown) == chain_state(eager([flip, rotation], 4))
     # and a certified extension of a certified prefix stays unbuilt
     other = PermGroup(t[:2], degree=6)
     longer = PermGroup(t[2:], degree=6, extends=other)
@@ -205,12 +208,14 @@ def test_extending_an_unbuilt_certified_prefix():
 
 
 def test_certificate_needs_every_orbit_connected():
-    # (1,2)(3,4) joins no transposition component, so <(1,2), (1,2)(3,4)>
-    # of order 4 is not certified although it is Sym({1,2}) x Sym({3,4})
+    # (1,2)(3,4) joins no transposition component, yet <(1,2), (1,2)(3,4)>
+    # of order 4 is certified: its restrictions to {1,2} and {3,4} are
+    # transpositions and its sign vectors (1,0), (1,1) span F_2^2, so it is
+    # Sym({1,2}) x Sym({3,4})
     a = Permutation.from_cycles(4, [(1, 2)])
     ab = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     group = PermGroup([a, ab])
-    assert not certified(group)
+    assert certified(group)
     assert group.order == 4 and group.is_symmetric_orbit_product
     # a transposition for the second orbit certifies it
     b = Permutation.from_cycles(4, [(3, 4)])
@@ -309,7 +314,8 @@ def test_concurrent_first_reads_share_one_build():
     for other_chain, other_gens, other_state in results:
         assert other_chain is chain and other_gens == gens
         assert other_state == state
-    # the shared prefix was built on the way, once, from scratch
+    # reading the section's chain left the prefix's unbuilt; this read
+    # builds it, from scratch
     assert chain_state(prefix) == chain_state(eager(sggi.generators()[:5], sggi.degree))
 
 

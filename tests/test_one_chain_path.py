@@ -38,16 +38,17 @@ def transpositions(n):
 
 
 def test_uncertified_extension_leaves_its_certified_prefix_unbuilt(monkeypatch):
-    t = transpositions(6)
-    prefix = PermGroup(t[:3], degree=6)
+    flip = Permutation.from_cycles(4, [(1, 3)])
+    prefix = PermGroup([flip], degree=4)
     assert unbuilt(prefix)
-    double = Permutation.from_cycles(6, [(1, 5), (4, 6)])
+    # the dihedral group of order 8, which stays uncertified
+    rotation = Permutation.from_cycles(4, [(1, 2, 3, 4)])
     grown_by = record_grows(monkeypatch)
-    grown = PermGroup([double], degree=6, extends=prefix)
+    grown = PermGroup([rotation], degree=4, extends=prefix)
     assert grown_by == [grown]
     assert unbuilt(prefix) and not unbuilt(grown)
-    assert chain_state(grown) == chain_state(eager(t[:3] + [double], 6))
-    assert chain_state(prefix) == chain_state(eager(t[:3], 6))
+    assert chain_state(grown) == chain_state(eager([flip, rotation], 4))
+    assert chain_state(prefix) == chain_state(eager([flip], 4))
 
 
 def test_reading_a_certified_chain_leaves_its_prefix_unbuilt(monkeypatch):

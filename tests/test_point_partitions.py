@@ -4,8 +4,9 @@ Graph components, group orbits, the symmetric-product certificate and
 block systems all come from the one union-find in ``perm_core``.  Each
 reference model here is kept inside this file: components by breadth-first
 search, the certificate by the transposition rule it replaced plus the
-Jordan rule stated as the groups it must certify (their order taken from
-sympy), and block systems by listing every partition into equal cells.
+product rule, restated on restricted generators (its p-cycle step stated
+as the groups it must certify, their order taken from sympy), and block
+systems by listing every partition into equal cells.
 """
 
 import itertools
@@ -125,26 +126,74 @@ def is_odd(g):
                for y in range(x + 1, len(img))) % 2 == 1
 
 
-def jordan_certified(gens, n):
-    """The groups the Jordan tier certifies: one orbit of at least 8 points
-    moved, every other point fixed, an odd generator, and sympy's order of
-    the group equal to that of the orbit's symmetric group."""
-    moved = [c for c in classes_to_cells(bfs_classes(n, moved_pairs(gens)))
-             if len(c) > 1]
-    if not (len(moved) == 1 and len(moved[0]) >= 8 and any(map(is_odd, gens))):
+def restricted(g, orbit):
+    """The permutation that g induces on the 0-based points ``orbit``."""
+    index = {x: i for i, x in enumerate(orbit)}
+    return Permutation([index[g._img[x]] + 1 for x in orbit])
+
+
+def closed_transpositions(gens, orbit):
+    """The generators' restrictions to ``orbit`` that are transpositions,
+    with every conjugate of them by the generators, as point pairs."""
+    found = {tuple(sorted(orbit[i - 1] for i in r.support()))
+             for r in (restricted(g, orbit) for g in gens) if len(r.support()) == 2}
+    frontier = list(found)
+    while frontier:
+        frontier = [pair for pair in {tuple(sorted((g._img[a], g._img[b])))
+                                      for a, b in frontier for g in gens}
+                    if pair not in found]
+        found.update(frontier)
+    return found
+
+
+def sign_rank(gens, orbits):
+    """The F_2 rank of the generators' sign vectors, one bit per orbit,
+    by elimination over rows of 0/1 lists."""
+    rows = [[int(is_odd(restricted(g, o))) for o in orbits] for g in gens]
+    rank = 0
+    for col in range(len(orbits)):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[a ^ b for a, b in zip(r, pivot)] if r[col] else r for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
+def product_certified(gens, n):
+    """The groups the product rule certifies: the sign vectors span F_2^k
+    over the k moved orbits, and each orbit is connected by the conjugates
+    of the transposition restrictions (such an orbit is exactly settled) or
+    has at least 8 points, where the p-cycle step must certify exactly the
+    groups whose sympy order is the product of the orbits' factorials."""
+    cls = bfs_classes(n, moved_pairs(gens))
+    orbits = [[x - 1 for x in c] for c in classes_to_cells(cls) if len(c) > 1]
+    if sign_rank(gens, orbits) < len(orbits):
         return False
+    split = [o for o in orbits
+             if len(set(bfs_classes(n, closed_transpositions(gens, o))[x] for x in o)) > 1]
+    if any(len(o) < 8 for o in split):
+        return False
+    return not split or sympy_order(gens) == sym_product_order(gens, n)
+
+
+def sympy_order(gens):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    order = combinatorics.PermutationGroup(
+    return combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(g._img)) for g in gens]).order()
-    return order == math.factorial(len(moved[0]))
 
 
 def assert_step_matches(group, prefix_gens, new_gens, n, order):
+    gens = prefix_gens + new_gens
     certified = (parent_certified(prefix_gens, new_gens, n)
-                 or jordan_certified(prefix_gens + new_gens, n))
+                 or product_certified(gens, n))
     assert (group._state is None) == certified
     assert group.is_symmetric_orbit_product == (
-        certified or order == sym_product_order(prefix_gens + new_gens, n))
+        certified or order == sym_product_order(gens, n))
+    if certified and gens:
+        assert sympy_order(gens) == sym_product_order(gens, n)
 
 
 def test_certificate_matches_parent_rule_on_corpus_sections():
@@ -166,8 +215,9 @@ def test_certificate_matches_parent_rule_on_corpus_sections():
                     assert_step_matches(grown, gens[:-1], gens[-1:], g.n, alone.order)
                     seen += grown._state is None
                 built[kept] = alone
-    # 560 of the 1,800 groups are certified, 20 of them by the Jordan tier
-    assert seen >= 500
+    # 810 of the 1,800 groups are certified, 270 of them by the product
+    # rule past the transposition test
+    assert seen >= 750
 
 
 @st.composite
